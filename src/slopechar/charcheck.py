@@ -495,7 +495,7 @@ def _comparison_point(gb, active, free, names, exact_values, norm_pos):
         candidates.sort(key=lambda c: (c.denominator, dist(c)))
     else:
         candidates.sort(key=lambda c: (dist(c), c.denominator))
-    nvars = gb[0].nvars
+    nvars = len(names)
     rest = [a for a in active if a != fv]
     for c in dict.fromkeys(candidates):
         if (v.sign() > 0) != (c > 0):

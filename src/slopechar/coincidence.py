@@ -116,6 +116,35 @@ def enumerate_types(n, d):
             for combo in combinations(subsets, n - d + 1)]
 
 
+def _integer_part(t: CoincidenceType):
+    """Slope-independent rows of M: column 0 as one {a_index: +-1} dict per
+    global row, and the integer A-part tracking the real entries."""
+    n, d = t.n, t.d
+    aidx = t.a_index()
+    ridx = t.r_index()
+    col0 = []
+    a_rows = []
+    for i in range(1, n - d + 1):
+        for j in range(1, n + 1):
+            c = {}
+            if (0, j) in aidx:
+                c[aidx[(0, j)]] = 1
+            if (i, j) in aidx:
+                c[aidx[(i, j)]] = c.get(aidx[(i, j)], 0) - 1
+            col0.append(c)
+            arow = [0] * t.p
+            if (0, j) in ridx:
+                arow[ridx[(0, j)]] = 1
+            if (i, j) in ridx:
+                arow[ridx[(i, j)]] -= 1
+            a_rows.append(arow)
+    return col0, a_rows
+
+
+def _column0(col0_coeffs, v):
+    return [sum(c * v[k] for k, c in row.items()) for row in col0_coeffs]
+
+
 class CoincidenceSystem:
     """The square matrix M of size n(n-d): columns (1 | r_1..r_p | lambdas).
 
@@ -131,33 +160,13 @@ class CoincidenceSystem:
         n, d = s.n, s.d
         self.size = n * (n - d)
         self.p = t.p
-        aidx = t.a_index()
-        ridx = t.r_index()
         zero, one = s.field.zero, s.field.one
-        # column 0 as one {a_index: +-1} dict per global row
-        col0 = []
-        a_rows = []
-        for i in range(1, n - d + 1):
-            for j in range(1, n + 1):
-                c = {}
-                if (0, j) in aidx:
-                    c[aidx[(0, j)]] = 1
-                if (i, j) in aidx:
-                    c[aidx[(i, j)]] = c.get(aidx[(i, j)], 0) - 1
-                col0.append(c)
-                arow = [0] * self.p
-                if (0, j) in ridx:
-                    arow[ridx[(0, j)]] = 1
-                if (i, j) in ridx:
-                    arow[ridx[(i, j)]] -= 1
-                a_rows.append(arow)
-        self.col0_coeffs = col0
-        self.a_rows = a_rows
+        self.col0_coeffs, self.a_rows = _integer_part(t)
         # the fixed part N = (A | diag U) over the field
         rows = []
         for i in range(1, n - d + 1):
             for jj in range(n):
-                row = [one * x for x in a_rows[(i - 1) * n + jj]]
+                row = [one * x for x in self.a_rows[(i - 1) * n + jj]]
                 for blk in range(1, n - d + 1):
                     if blk == i:
                         row.extend(s.generators.rows[jj])
@@ -168,7 +177,7 @@ class CoincidenceSystem:
 
     def column0(self, v):
         """Evaluate column 0 at integer entries v (over Q)."""
-        return [sum(c * v[k] for k, c in row.items()) for row in self.col0_coeffs]
+        return _column0(self.col0_coeffs, v)
 
     def matrix(self, v) -> Matrix:
         """M with the a_i's replaced by v, over the field."""
@@ -343,22 +352,26 @@ class CoincidenceEquation:
         return self.poly.degree()
 
 
-def _expansion_data(s: Slope, t: CoincidenceType):
+# (n, d, type subsets) -> (column 0 coefficients, nvars, Laplace terms); all
+# three depend only on the shape and the type, so every slope of a shape
+# shares them
+_EXPANSIONS = {}
+
+
+def _expansion_data(t: CoincidenceType):
     """Per-type Laplace data: det(M(v)) = sum over U-row choices of
     sign * (cofactor form evaluated on column 0) * prod of Grassmann vars.
 
     Each term's integer minor is expanded once along column 0, leaving a
     linear form sum_r cof_r * c0[r] that is cheap to evaluate per vector.
     """
-    cache = getattr(s, "_coincidence_expansions", None)
-    if cache is None:
-        cache = s._coincidence_expansions = {}
-    got = cache.get(t.subsets)
+    key = (t.n, t.d, t.subsets)
+    got = _EXPANSIONS.get(key)
     if got is not None:
         return got
-    n, d = s.n, s.d
-    sysm = CoincidenceSystem(s, t)
-    p = sysm.p
+    n, d = t.n, t.d
+    col0, a_rows = _integer_part(t)
+    p = t.p
     gtuples, _ = grassmann_variables(n, d)
     gindex = {gt: i for i, gt in enumerate(gtuples)}
     nvars = len(gtuples)
@@ -373,7 +386,7 @@ def _expansion_data(s: Slope, t: CoincidenceType):
         sign = -1 if (sum(srows) + len(srows) + half) % 2 else 1
         form = []
         for k, r in enumerate(srows):
-            minor = [sysm.a_rows[rr] for idx, rr in enumerate(srows) if idx != k]
+            minor = [a_rows[rr] for idx, rr in enumerate(srows) if idx != k]
             cof = _int_det(minor)
             if cof:
                 form.append((r, cof if k % 2 == 0 else -cof))
@@ -383,15 +396,16 @@ def _expansion_data(s: Slope, t: CoincidenceType):
         for rset in choice:
             mono[gindex[tuple(jj + 1 for jj in rset)]] += 1
         data.append((sign, tuple(form), tuple(mono)))
-    got = (sysm, nvars, data)
-    cache[t.subsets] = got
+    got = _EXPANSIONS[key] = (col0, nvars, data)
     return got
 
 
 def equation_of(s: Slope, t: CoincidenceType, v):
     """Blockwise Laplace expansion of det(M(v)) into Grassmann variables."""
-    sysm, nvars, data = _expansion_data(s, t)
-    c0 = sysm.column0(v)
+    if (s.n, s.d) != (t.n, t.d):
+        raise CoincidenceError("type does not match slope dimensions")
+    col0, nvars, data = _expansion_data(t)
+    c0 = _column0(col0, v)
     terms = {}
     for sign, form, mono in data:
         dphi = sum(cof * c0[r] for r, cof in form)

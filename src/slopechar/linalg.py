@@ -2,8 +2,10 @@
 
 Matrices are small and dense (list of row tuples); entries are Fractions or
 FieldElems, never floats.  Determinants, kernels and solving use exact
-elimination with the first nonzero pivot scanning top to bottom; lattice
-work (HNF, LLL with delta = 3/4) stays over Z/Q.
+elimination with the first nonzero pivot scanning top to bottom.  Lattice
+work stays over Z: HNF, integer kernels, and LLL (delta = 3/4) in its
+integral form, which tracks Gram-Schmidt data as integers and never builds
+a rational Gram-Schmidt basis.
 """
 
 from __future__ import annotations
@@ -334,32 +336,61 @@ def _gram_schmidt(basis):
 
 
 def lll(basis, delta=Fraction(3, 4)):
-    """LLL reduction over Z; input vectors must be linearly independent."""
-    b = [list(v) for v in basis]
+    """LLL reduction over Z; input vectors must be linearly independent.
+
+    Integral LLL (Cohen, Alg. 2.6.7): with b*_i the Gram-Schmidt vectors,
+    d[i] = |b*_0|^2 ... |b*_{i-1}|^2 (d[0] = 1) and lam[i][j] = d[j+1] mu_ij
+    are integers, kept up to date through every size reduction and swap.
+    Each vector is fully size-reduced (mu rounded to floor(mu + 1/2)) before
+    the exact Lovasz test, so the result is the textbook rational LLL's.
+    """
+    b = [[int(x) for x in v] for v in basis]
     n = len(b)
     if n == 0:
         return []
-    ortho, _ = _gram_schmidt(b)
-    if any(all(x == 0 for x in w) for w in ortho):
-        raise DependentInput("input vectors are linearly dependent")
-
-    def mu(i, j):
-        return _dot([Fraction(x) for x in b[i]], ortho[j]) / _dot(ortho[j], ortho[j])
+    p, q = Fraction(delta).as_integer_ratio()
+    d = [1] * (n + 1)
+    lam = [[0] * i for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            u = sum(x * y for x, y in zip(b[i], b[j]))
+            for m in range(j):
+                u = (d[m + 1] * u - lam[i][m] * lam[j][m]) // d[m]
+            if j < i:
+                lam[i][j] = u
+            elif u == 0:
+                raise DependentInput("input vectors are linearly dependent")
+            else:
+                d[i + 1] = u
 
     k = 1
     while k < n:
+        lk = lam[k]
         for j in range(k - 1, -1, -1):
-            m_kj = mu(k, j)
-            q = (m_kj + Fraction(1, 2)).__floor__()
-            if q:
-                b[k] = [a - q * c for a, c in zip(b[k], b[j])]
-        if _dot(ortho[k], ortho[k]) >= (delta - mu(k, k - 1) ** 2) * _dot(ortho[k - 1], ortho[k - 1]):
+            dj = d[j + 1]
+            r = (2 * lk[j] + dj) // (2 * dj)
+            if r:
+                b[k] = [x - r * y for x, y in zip(b[k], b[j])]
+                lk[j] -= r * dj
+                lj = lam[j]
+                for m in range(j):
+                    lk[m] -= r * lj[m]
+        mu = lk[k - 1]
+        if q * d[k + 1] * d[k - 1] >= p * d[k] * d[k] - q * mu * mu:
             k += 1
-        else:
-            b[k], b[k - 1] = b[k - 1], b[k]
-            ortho, _ = _gram_schmidt(b)
-            k = max(k - 1, 1)
-    return [tuple(int(x) for x in v) for v in b]
+            continue
+        b[k], b[k - 1] = b[k - 1], b[k]
+        # the swap leaves lam[k][k-1] as it is
+        lam[k][:k - 1], lam[k - 1] = lam[k - 1], lam[k][:k - 1]
+        big = (d[k - 1] * d[k + 1] + mu * mu) // d[k]
+        for i in range(k + 1, n):
+            li = lam[i]
+            t = li[k]
+            li[k] = (d[k + 1] * li[k - 1] - mu * t) // d[k]
+            li[k - 1] = (big * t + mu * li[k]) // d[k + 1]
+        d[k] = big
+        k = max(k - 1, 1)
+    return [tuple(v) for v in b]
 
 
 def lll_checks(basis, delta=Fraction(3, 4)):

@@ -443,7 +443,7 @@ def _enumerate_sampled(s: Slope, r: int, w: Window, samples: int, seed: int) -> 
     for key in sorted(found):
         pat, pts = found[key]
         entries.append(AtlasEntry(pat.canonical(), pattern_region(s, pat), None, pts))
-    return PatternAtlas(entries, w.as_hpolytope().volume(), False)
+    return PatternAtlas(entries, poly.volume(), False)
 
 
 # ---------------------------------------------------------------------------

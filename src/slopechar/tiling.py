@@ -272,13 +272,16 @@ def _find_seed(member: LatticeMembership, n):
     raise TilingError("could not find a lattice point projecting in the window")
 
 
-def face_selected_by_anchor(s: Slope, face: Face, offset, cache={}) -> bool:
-    """Complementary-zonotope anchor test, equivalent to the 2^d-corner test."""
-    key = (id(s), face.directions)
-    zc = cache.get(key)
+def face_selected_by_anchor(s: Slope, face: Face, offset) -> bool:
+    """Complementary-zonotope anchor test, equivalent to the 2^d-corner test.
+
+    The zonotope of each direction tuple is cached on the slope."""
+    cache = getattr(s, "_anchor_zonotopes", None)
+    if cache is None:
+        cache = s._anchor_zonotopes = {}
+    zc = cache.get(face.directions)
     if zc is None:
-        zc = complementary_zonotope(s, face.directions)
-        cache[key] = zc
+        zc = cache[face.directions] = complementary_zonotope(s, face.directions)
     b = eprime_basis(s)
     p = vec_sub(b.apply(face.anchor), offset)
     return zc.contains(p) == INSIDE

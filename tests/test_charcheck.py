@@ -1,10 +1,14 @@
+import json
 import random
 from fractions import Fraction as F
 from itertools import combinations
+from pathlib import Path
 
+import jsonschema
 import pytest
 import sympy
 
+from slopechar import cli
 from slopechar.charcheck import (PolyIdeal, ResourceLimit, assemble_ideal,
                                  buchberger, is_zero_dimensional,
                                  isolate_real_roots, minimal_polynomial_of,
@@ -246,3 +250,26 @@ def test_verdict_ab(ab, ab_spec):
         assert p.evaluate(vals) == 0
     for p in v.witness["family"]:
         assert p.evaluate(vals) == 0
+
+
+CUBIC_LINE = """\
+minpoly = ["-2", "0", "0", "1"]
+root_interval = ["1", "2"]
+n = 3
+d = 1
+generators = [[["1"], ["0", "1"], ["0", "0", "1"]]]
+"""
+
+
+def test_verdict_with_empty_groebner_basis(tmp_path):
+    # the line spanned by (1, alpha, alpha^2), alpha^3 = 2, has no coincidence
+    # equations, so the assembled ideal has no generators
+    spec = tmp_path / "cubic_line.slope"
+    spec.write_text(CUBIC_LINE)
+    out = tmp_path / "verdict.json"
+    assert cli.main(["verdict", str(spec), "--json", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    schema = Path(__file__).resolve().parent.parent / "schemas" / "verdict.schema.json"
+    jsonschema.validate(doc, json.loads(schema.read_text()))
+    assert doc["status"] == "NotCharacterized"
+    assert doc["groebner_basis"] == []

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from slopechar import coincidence
 from slopechar.coincidence import (Coincidence, CoincidenceEquation,
                                    CoincidenceType, Degenerate,
                                    InconsistentSystem, CoincidenceSystem,
@@ -123,6 +124,29 @@ def test_equation_determinant_oracle(typical):
                 vals = [g2[tp] for tp in tuples]
                 via_poly = eq.poly.evaluate(vals)
                 assert direct == via_poly
+
+
+def test_equation_of_cold_and_warm_cache(typical, ab):
+    """The expansion data is shared by every slope of a shape: equations of
+    two 4->2 slopes come out the same whichever slope filled the cache."""
+
+    def equations(s):
+        out = {}
+        for t in enumerate_types(4, 2):
+            for v in coincidence_lattice(s, t):
+                eq = equation_of(s, t, v)
+                out[t.subsets, v] = None if isinstance(eq, TrivialEquation) else eq.poly.terms
+        return out
+
+    cold = {}
+    for s in (typical, ab):
+        coincidence._EXPANSIONS.clear()
+        cold[s] = equations(s)
+    for first, second in ((typical, ab), (ab, typical)):
+        coincidence._EXPANSIONS.clear()
+        assert equations(first) == cold[first]
+        assert equations(second) == cold[second]
+        assert len(coincidence._EXPANSIONS) == 4
 
 
 def test_equation_vanishes_only_on_lattice(typical):

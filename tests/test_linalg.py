@@ -3,11 +3,12 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from slopechar.linalg import (DependentInput, Matrix, NotSquare, det, hnf,
-                              identity, inverse, kernel, kernel_int,
+from slopechar.coincidence import coincidence_lattice, enumerate_types
+from slopechar.linalg import (DependentInput, Matrix, NotSquare, _gram_schmidt,
+                              det, hnf, identity, inverse, kernel, kernel_int,
                               kernel_rational, lll, lll_checks, rank, rref,
                               solve_right)
 
@@ -144,6 +145,156 @@ def test_lll_reduced_and_same_lattice():
 def test_lll_dependent_input():
     with pytest.raises(DependentInput):
         lll([[1, 2], [2, 4]])
+    with pytest.raises(DependentInput):
+        lll([[1, 2, 3], [0, 0, 0], [4, 5, 6]])
+    with pytest.raises(DependentInput):
+        lll([[1, 0, 2], [0, 1, 1], [1, 1, 3]])
+
+
+def _rational_lll(basis, delta=F(3, 4)):
+    """Textbook LLL over Q, recomputing Gram-Schmidt after every swap; the
+    reference that lll must match step for step."""
+    b = [list(v) for v in basis]
+    ortho, _ = _gram_schmidt(b)
+
+    def mu(i, j):
+        return (sum(F(x) * y for x, y in zip(b[i], ortho[j]))
+                / sum(y * y for y in ortho[j]))
+
+    k = 1
+    while k < len(b):
+        for j in range(k - 1, -1, -1):
+            q = (mu(k, j) + F(1, 2)).__floor__()
+            if q:
+                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+        norm = [sum(y * y for y in ortho[i]) for i in (k - 1, k)]
+        if norm[1] >= (delta - mu(k, k - 1) ** 2) * norm[0]:
+            k += 1
+        else:
+            b[k], b[k - 1] = b[k - 1], b[k]
+            ortho, _ = _gram_schmidt(b)
+            k = max(k - 1, 1)
+    return [tuple(v) for v in b]
+
+
+@st.composite
+def int_bases(draw):
+    n = draw(st.integers(min_value=1, max_value=10))
+    m = n + draw(st.integers(min_value=0, max_value=2))
+    row = st.lists(st.integers(min_value=-30, max_value=30), min_size=m, max_size=m)
+    return draw(st.lists(row, min_size=n, max_size=n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(int_bases())
+def test_lll_random_independent_bases(basis):
+    assume(rank(Matrix([[F(x) for x in r] for r in basis])) == len(basis))
+    red = lll(basis)
+    assert red == lll(basis)
+    assert all(isinstance(x, int) for v in red for x in v)
+    assert lll_checks(red) == (True, True)
+    assert hnf(Matrix(zip(*red))).rows == hnf(Matrix(zip(*basis))).rows
+    if len(basis) <= 6:
+        assert red == _rational_lll(basis)
+
+
+def test_lll_delta_matches_rational_reference():
+    rng = random.Random(23)
+    for delta in (F(1, 2), F(3, 4), F(99, 100)):
+        for _ in range(10):
+            n = rng.randint(2, 6)
+            while True:
+                basis = [[rng.randint(-50, 50) for _ in range(n + 1)] for _ in range(n)]
+                if rank(Matrix([[F(x) for x in r] for r in basis])) == n:
+                    break
+            red = lll(basis, delta=delta)
+            assert red == _rational_lll(basis, delta=delta)
+            assert lll_checks(red, delta=delta) == (True, True)
+
+
+# coincidence_lattice of every type of the typical and ammann_beenker
+# fixtures, recorded with the rational Gram-Schmidt LLL of _rational_lll
+GOLDEN_LATTICES = {
+    "typical": {
+        ((1,), (2,), (3,)): [
+            (0, 1, 0, 0, 1, 0, 0, 0, 0),
+            (0, 0, 0, 1, 0, 0, 1, 0, 0),
+            (1, 0, 0, 0, 0, 0, 0, 1, 0),
+            (0, 0, 1, 0, 0, 1, 0, 0, 1),
+            (-4, 1, -7, -4, -1, 0, 3, 4, 6),
+            (13, 83, 31, -37, -83, -24, 37, -13, -7),
+        ],
+        ((1,), (2,), (4,)): [
+            (0, 0, 1, 0, 0, 1, 0, 0, 0),
+            (0, 0, 0, 1, 0, 0, 1, 0, 0),
+            (1, 0, 0, 0, 0, 0, 0, 1, 0),
+            (0, 1, 0, 0, 1, 0, 0, 0, 1),
+            (5, 9, -25, 1, -5, 24, -1, -5, -3),
+            (-1, -29, -19, 51, 51, 19, -52, 0, -21),
+        ],
+        ((1,), (3,), (4,)): [
+            (0, 0, 1, 0, 0, 1, 0, 0, 0),
+            (0, 0, 0, 1, 0, 0, 1, 0, 0),
+            (0, 1, 0, 0, 0, 0, 0, 0, 1),
+            (1, 0, 0, 0, 1, 0, 0, 1, 0),
+            (1, -2, 3, 4, -3, -4, -5, 3, 2),
+            (3, 1, 7, -12, -6, -7, 12, 3, -1),
+        ],
+        ((2,), (3,), (4,)): [
+            (0, 0, 1, 0, 0, 1, 0, 0, 0),
+            (0, 0, 0, 0, 1, 0, 0, 1, 0),
+            (0, 1, 0, 0, 0, 0, 0, 0, 1),
+            (1, 0, 0, 1, 0, 0, 1, 0, 0),
+            (-5, -3, -3, 3, 3, 2, 3, -3, 3),
+            (11, 14, -9, 20, 18, 8, -31, -18, -14),
+        ],
+    },
+    "ammann_beenker": {
+        ((1,), (2,), (3,)): [
+            (1, 0, -1, 0, 0, 0, 0, 0, 0),
+            (0, 1, 0, -1, 0, 0, 0, 0, 0),
+            (0, 0, 0, 1, 1, 0, 0, 0, 0),
+            (0, -1, 0, 0, 0, 0, -1, 0, 0),
+            (-1, 0, 0, 0, 0, 0, 0, -1, 0),
+            (-1, 0, 0, 0, 0, 0, 0, 0, 1),
+            (-1, 0, 0, 0, 0, -1, 0, 0, -1),
+        ],
+        ((1,), (2,), (4,)): [
+            (1, 0, -1, 0, 0, 0, 0, 0, 0),
+            (0, 0, 0, 1, 1, 0, 0, 0, 0),
+            (0, 0, 1, 0, 0, 1, 0, 0, 0),
+            (0, 0, 0, -1, 0, 0, -1, 0, 0),
+            (-1, 0, 0, 0, 0, 0, 0, -1, 0),
+            (0, 0, 0, -1, 0, 0, 0, 0, -1),
+            (0, 1, 0, -1, 0, 0, 0, 0, 1),
+        ],
+        ((1,), (3,), (4,)): [
+            (1, 0, -1, 0, 0, 0, 0, 0, 0),
+            (0, 1, 0, -1, 0, 0, 0, 0, 0),
+            (0, 0, 1, 0, -1, 0, 0, 0, 0),
+            (0, 0, 1, 0, 0, 1, 0, 0, 0),
+            (0, 0, 0, 1, 0, 0, 1, 0, 0),
+            (0, -1, 0, 0, 0, 0, 0, 0, -1),
+            (0, 0, 1, 0, 0, -1, 0, 1, 0),
+        ],
+        ((2,), (3,), (4,)): [
+            (1, 1, 0, 0, 0, 0, 0, 0, 0),
+            (0, 0, 1, 0, -1, 0, 0, 0, 0),
+            (0, 0, 0, 0, 1, 1, 0, 0, 0),
+            (-1, 0, 0, 0, 0, 0, 1, 0, 0),
+            (0, 0, -1, 0, 0, 0, 0, -1, 0),
+            (0, -1, 0, 0, 0, 0, 0, 0, -1),
+            (0, -1, 0, 1, 0, 0, 0, 0, 1),
+        ],
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_LATTICES))
+def test_coincidence_lattices_golden(name, request):
+    s = request.getfixturevalue({"typical": "typical", "ammann_beenker": "ab"}[name])
+    got = {t.subsets: coincidence_lattice(s, t) for t in enumerate_types(s.n, s.d)}
+    assert got == GOLDEN_LATTICES[name]
 
 
 small = st.integers(min_value=-4, max_value=4)

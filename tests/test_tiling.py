@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from fractions import Fraction as F
@@ -5,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from slopechar.geometry import BOUNDARY, INSIDE, eprime_basis, window
+from slopechar.slope import Slope
 from slopechar.specfile import spec_offset
 from slopechar.tiling import (Face, LatticeMembership, SingularOffset,
                               digitize, draw_offset, face_selected_by_anchor,
@@ -87,6 +89,31 @@ def test_anchor_test_matches_corner_test(ab):
     for f in list(patch.faces)[:20]:
         far = Face(tuple(a + 50 for a in f.anchor), f.directions)
         assert not face_selected_by_anchor(ab, far, patch.offset)
+
+
+ANCHOR_FACES = [Face(anchor, dirs) for anchor in itertools.product((-1, 0), repeat=4)
+                for dirs in ((1, 2), (1, 3), (2, 4), (3, 4))]
+ANCHOR_OFFSET = (F(1, 3), F(-1, 5))
+
+
+def _anchor_on_fresh_slope(base, face):
+    # a slope freed on return: the next one built here usually gets its id
+    s = Slope(base.field, base.n, base.d, base.u_columns)
+    return face_selected_by_anchor(s, face, tuple(map(s.field.from_rational, ANCHOR_OFFSET)))
+
+
+def test_anchor_test_on_alternating_fresh_slopes(typical, ab):
+    cases = []
+    for s in (typical, ab):
+        member = LatticeMembership(window(s), eprime_basis(s),
+                                   tuple(map(s.field.from_rational, ANCHOR_OFFSET)))
+        corner = [all(member.status(c) > 0 for c in f.corners()) for f in ANCHOR_FACES]
+        assert any(corner) and not all(corner)
+        cases.append((s, corner))
+    for k in range(400):
+        s, corner = cases[k % 2]
+        i = k // 2 % len(ANCHOR_FACES)
+        assert _anchor_on_fresh_slope(s, ANCHOR_FACES[i]) == corner[i]
 
 
 def test_integral_sum_offset_penrose(penrose):
