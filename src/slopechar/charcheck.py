@@ -8,6 +8,7 @@ Non-generic slopes get an informational analysis instead of a verdict.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -478,7 +479,9 @@ def _comparison_point(gb, active, free, names, exact_values, norm_pos):
     lo, hi = v.interval(Fraction(1, 100))
     candidates = []
     for den in (2, 1, 3, 4):
-        for num in (int(lo * den), int(lo * den) + 1, int(hi * den) + 1):
+        # floor, not truncation: a coordinate in (-1, 0) needs a negative candidate
+        base = math.floor(lo * den)
+        for num in (base, base + 1, math.floor(hi * den) + 1):
             c = Fraction(num, den)
             if c != 0 and c.denominator == den:
                 candidates.append(c)

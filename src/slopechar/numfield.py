@@ -3,12 +3,19 @@
 alpha is given by an irreducible minimal polynomial together with a rational
 interval isolating exactly one real root.  Elements are represented by their
 canonical residue mod the minimal polynomial, so equality is coefficientwise.
-Signs are decided exactly: symbolically for the zero element, by a closed
-comparison for elements linear in alpha, and by interval refinement otherwise.
+
+Signs are decided exactly, by `NumberField.sign_of` on a coefficient vector.
+A certified fixed-point filter comes first: each field keeps integer bounds
+L_i <= 2^FILTER_BITS * alpha^i <= U_i, and a vector whose enclosure
+sum c_i [L_i, U_i] excludes 0 gets the sign of that enclosure with integer
+arithmetic only.  Only when the enclosure contains 0 does the exact path run:
+symbolically for the zero element, by a closed comparison for elements linear
+in alpha, and by interval refinement otherwise.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -38,6 +45,11 @@ class FieldMismatch(FieldError):
 
 
 Rat = Fraction
+
+# binary digits of the fixed-point sign filter: its enclosures of
+# 2^FILTER_BITS * alpha^i are at most 2 apart, so every element farther than
+# about 2^-FILTER_BITS * sum |c_i| from 0 is decided without exact arithmetic
+FILTER_BITS = 96
 
 
 def _rat(x) -> Fraction:
@@ -233,6 +245,7 @@ class NumberField:
                         break
             self._lo, self._hi = lo, hi
         self._sign_at_lo = 1 if poly_eval(self.minpoly, self._lo) > 0 else -1
+        self._filter = None  # (L_i, U_i) per power of alpha, built on first use
 
     # -- construction helpers ------------------------------------------------
 
@@ -293,6 +306,76 @@ class NumberField:
             cands = (lo * self._lo, lo * self._hi, hi * self._lo, hi * self._hi)
             lo, hi = min(cands) + c, max(cands) + c
         return lo, hi
+
+    # -- signs ----------------------------------------------------------------
+
+    def _filter_bounds(self) -> tuple[tuple[int, int], ...]:
+        """Integer bounds L_i <= 2^FILTER_BITS * alpha^i <= U_i, U_i - L_i <= 2.
+
+        Bisects a private copy of the isolating interval and leaves the
+        shared one, which `interval`, `approx` and `root_interval` read, as
+        it is."""
+        scale = 1 << FILTER_BITS
+        lo, hi = self._lo, self._hi
+        while True:
+            # alpha != 0 for degree >= 2, so the interval leaves 0 eventually
+            # and every power is monotone on it
+            if self.degree == 1 or lo > 0 or hi < 0:
+                bounds = [(scale, scale)]
+                for i in range(1, self.degree):
+                    a, b = sorted((lo ** i * scale, hi ** i * scale))
+                    bounds.append((math.floor(a), math.ceil(b)))
+                if all(u - l <= 2 for l, u in bounds):
+                    self._filter = tuple(bounds)
+                    return self._filter
+            mid = (lo + hi) / 2
+            if (poly_eval(self.minpoly, mid) > 0) == (self._sign_at_lo > 0):
+                lo = mid
+            else:
+                hi = mid
+
+    def sign_of(self, coeffs) -> int:
+        """Sign of sum coeffs[i] * alpha^i under the real embedding.
+
+        `coeffs` holds at most `degree` ints or Fractions.  The fixed-point
+        enclosure decides unless it contains 0; then the exact path does."""
+        bounds = self._filter or self._filter_bounds()
+        lo = hi = 0
+        for c, (l, u) in zip(coeffs, bounds):
+            if c < 0:
+                l, u = u, l
+            elif not c:
+                continue
+            if type(c) is int:
+                lo += c * l
+                hi += c * u
+            else:
+                # floor and ceil of the Fraction products, without building them
+                num, den = c.numerator, c.denominator
+                lo += num * l // den
+                hi -= -num * u // den
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
+        # exact path
+        if all(c == 0 for c in coeffs):
+            return 0
+        if self.degree == 1 or all(c == 0 for c in coeffs[1:]):
+            return 1 if coeffs[0] > 0 else -1
+        nz = [i for i, c in enumerate(coeffs) if c != 0]
+        if nz == [1] or nz == [0, 1]:
+            # a + b*alpha: compare alpha against -a/b
+            a, b = coeffs[0], coeffs[1]
+            t = -Fraction(a) / b
+            return (1 if b > 0 else -1) * f_alpha_cmp(self, t)
+        while True:
+            lo, hi = self.interval_of(coeffs)
+            if lo > 0:
+                return 1
+            if hi < 0:
+                return -1
+            self._refine()
 
     def __eq__(self, other):
         return (isinstance(other, NumberField)
@@ -365,9 +448,16 @@ class FieldElem:
         return -(self - other)
 
     def __mul__(self, other):
+        # a rational factor scales the coefficients: no product, no reduction
+        if isinstance(other, (int, Fraction)):
+            return self._scaled(other)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if o.is_rational():
+            return self._scaled(o.coeffs[0])
+        if self.is_rational():
+            return o._scaled(self.coeffs[0])
         prod = poly_mul(self.coeffs, o.coeffs)
         red = _reduce_mod(prod, self.field.minpoly)
         k = self.field.degree
@@ -375,6 +465,9 @@ class FieldElem:
         return FieldElem(self.field, tuple(red[:k]))
 
     __rmul__ = __mul__
+
+    def _scaled(self, q) -> "FieldElem":
+        return FieldElem(self.field, tuple(c * q for c in self.coeffs))
 
     def inverse(self) -> "FieldElem":
         if self.is_zero():
@@ -432,24 +525,7 @@ class FieldElem:
     # -- order structure under the real embedding -----------------------------
 
     def sign(self) -> int:
-        if self.is_zero():
-            return 0
-        f = self.field
-        if f.degree == 1 or self.is_rational():
-            return 1 if self.coeffs[0] > 0 else -1
-        nz = [i for i, c in enumerate(self.coeffs) if c != 0]
-        if nz == [1] or nz == [0, 1]:
-            # a + b*alpha: compare alpha against -a/b
-            a, b = self.coeffs[0], self.coeffs[1]
-            t = -a / b
-            return (1 if b > 0 else -1) * f_alpha_cmp(f, t)
-        while True:
-            lo, hi = f.interval_of(self.coeffs)
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
-            f._refine()
+        return self.field.sign_of(self.coeffs)
 
     def __lt__(self, other):
         o = self._coerce(other)

@@ -522,14 +522,9 @@ def vertex_star(member, v) -> LiftedPattern:
 
 def patch_vertex_stars(patch):
     """Distinct vertex 0-patterns of a patch, canonical up to translation."""
-    from .tiling import LatticeMembership
-    from .geometry import window as _window
-
-    s = patch.slope
-    member = LatticeMembership(_window(s), eprime_basis(s), patch.offset)
     stars = {}
     for v in sorted(patch.vertex_set()):
-        pat = vertex_star(member, v).canonical()
+        pat = vertex_star(patch.member, v).canonical()
         stars.setdefault(pat.encode(), pat)
     return list(stars.values())
 

@@ -15,6 +15,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 from .geometry import (INSIDE, BOUNDARY, OUTSIDE, Window, eprime_basis,
                        complementary_zonotope, vec_sub, window)
@@ -56,18 +57,30 @@ class Face:
 
 
 class LatticeMembership:
-    """Cached exact membership of B x in (window + offset) for x in Z^n."""
+    """Cached exact membership of B x in (window + offset) for x in Z^n.
+
+    Each slab lo <= nu . (B x - offset) <= hi is kept as integer coefficient
+    vectors over one positive common denominator: a column per coordinate of
+    x and the bounds, so a test is integer dot products and two calls of the
+    field's sign filter."""
 
     def __init__(self, w: Window, b, offset):
-        # fold the translation into the slab bounds; functional per slab is
-        # an integer combination of precomputed field rows
+        self.field = b[0, 0].field
+        k = self.field.degree
+        # fold the translation into the slab bounds
         self.tests = []
         for nu, lo, hi in w.slabs:
-            row = tuple(sum((nu[i] * b[i, j] for i in range(len(nu))),
-                            start=nu[0] - nu[0]) for j in range(b.ncols))
+            row = [sum((nu[i] * b[i, j] for i in range(len(nu))),
+                       start=nu[0] - nu[0]) for j in range(b.ncols)]
             shift = sum((nu[i] * offset[i] for i in range(len(nu))),
                         start=nu[0] - nu[0])
-            self.tests.append((row, lo + shift, hi + shift))
+            elems = row + [lo + shift, hi + shift]
+            den = math.lcm(*(c.denominator for e in elems for c in e.coeffs))
+            ints = [tuple(c.numerator * (den // c.denominator) for c in e.coeffs)
+                    for e in elems]
+            # coefficient t of the functional at x is sum(map(mul, x, cols[t]))
+            cols = tuple(tuple(v[t] for v in ints[:-2]) for t in range(k))
+            self.tests.append((cols, ints[-2], ints[-1]))
         self.cache = {}
 
     def status(self, x) -> int:
@@ -75,17 +88,12 @@ class LatticeMembership:
         got = self.cache.get(x)
         if got is not None:
             return got
+        sign_of = self.field.sign_of
         result = 1
-        for row, lo, hi in self.tests:
-            acc = None
-            for xj, wj in zip(x, row):
-                if xj:
-                    term = wj * xj
-                    acc = term if acc is None else acc + term
-            if acc is None:
-                acc = lo - lo
-            s1 = (acc - lo).sign()
-            s2 = (hi - acc).sign()
+        for cols, lo, hi in self.tests:
+            acc = [sum(map(mul, x, col)) for col in cols]
+            s1 = sign_of([a - c for a, c in zip(acc, lo)])
+            s2 = sign_of([c - a for a, c in zip(acc, hi)])
             if s1 < 0 or s2 < 0:
                 result = -1
                 break
@@ -96,11 +104,15 @@ class LatticeMembership:
 
 
 class Patch:
-    def __init__(self, slope: Slope, offset, faces, radius, seed=None):
+    """Faces of a digitized patch; `member` is the membership that selected
+    them, kept so later lattice tests at the same offset reuse its cache."""
+
+    def __init__(self, slope: Slope, offset, faces, radius, member, seed=None):
         self.slope = slope
         self.offset = tuple(offset)
         self.faces = sorted(faces)
         self.radius = radius
+        self.member = member
         self.seed = seed
 
     def vertex_set(self):
@@ -248,7 +260,7 @@ def _digitize_at(s: Slope, offset, radius, seed) -> Patch:
                     break
             if ok and any(inball(c, float(radius)) for c in corners):
                 faces.append(f)
-    return Patch(s, offset, faces, radius, seed)
+    return Patch(s, offset, faces, radius, member, seed)
 
 
 def _find_seed(member: LatticeMembership, n):

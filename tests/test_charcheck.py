@@ -273,3 +273,39 @@ def test_verdict_with_empty_groebner_basis(tmp_path):
     jsonschema.validate(doc, json.loads(schema.read_text()))
     assert doc["status"] == "NotCharacterized"
     assert doc["groebner_basis"] == []
+
+
+# a generic 4->3 hyperplane over Q(sqrt 10) whose free Grassmann coordinate
+# lies in (-1, 0): drawn with the benchmark's slope generator
+NEGATIVE_FREE_HYPERPLANE = """\
+minpoly = ["-10", "0", "1"]
+root_interval = ["-4", "-3"]
+n = 4
+d = 3
+generators = [[["-1", "-1"], ["-1", "1"], ["1", "1"], ["0", "1"]], \
+[["1", "0"], ["1", "-1"], ["-1", "1"], ["1", "0"]], \
+[["1", "0"], ["0", "0"], ["1", "1"], ["1", "0"]]]
+normalization = "G123"
+"""
+
+
+def test_comparison_point_for_free_coordinate_in_minus_one_zero(tmp_path):
+    from slopechar.slope import grassmann
+    from slopechar.specfile import load_spec, to_slope
+
+    path = tmp_path / "hyperplane.slope"
+    path.write_text(NEGATIVE_FREE_HYPERPLANE)
+    s = to_slope(load_spec(str(path)))
+    v = verdict(s)
+    assert v.status == "NotCharacterized"
+    tuples, names = grassmann_variables(4, 3)
+    (free,) = v.witness["free_variables"]
+    g = grassmann(s)
+    value = g[tuples[names.index(free)]] / g[v.normalization]
+    assert -1 < value < 0
+    pt = v.witness["comparison_point"]
+    assert pt is not None and set(pt) == set(names)
+    assert -1 < pt[free] < 0
+    vals = [pt[nm] for nm in names]
+    for p in v.groebner:
+        assert p.evaluate(vals) == 0

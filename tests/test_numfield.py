@@ -1,9 +1,12 @@
+import math
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slopechar import numfield
 from slopechar.numfield import (FieldElem, MultipleRootsInInterval,
                                 NoRootInInterval, NumberField,
                                 ReducibleMinpoly, count_real_roots,
@@ -115,3 +118,114 @@ def test_field_ring_axioms(ca, cb):
     assert x * (y + f.one) == x * y + x
     if not y.is_zero():
         assert (x / y) * y == x
+
+
+# -- the fixed-point sign filter ------------------------------------------------
+
+FIELDS = {"quadratic": sqrt2, "cubic": cubic}
+
+
+def _reference_sign(name, coeffs):
+    """Sign by interval refinement alone, on a field of its own."""
+    if all(c == 0 for c in coeffs):
+        return 0
+    ref = FIELDS[name]()
+    while True:
+        lo, hi = ref.interval_of(coeffs)
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
+        ref._refine()
+
+
+def _convergents(field, max_q):
+    """Continued-fraction convergents (p, q) of alpha with q <= max_q."""
+    field.refine_to(F(1, max_q ** 3))
+    lo, hi = field.root_interval
+    out = []
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    while True:
+        a = lo.numerator // lo.denominator
+        if a != hi.numerator // hi.denominator:
+            return out  # the enclosure no longer fixes the next term
+        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
+        if q1 > max_q:
+            return out
+        out.append((p1, q1))
+        lo, hi = 1 / (hi - a), 1 / (lo - a)
+
+
+CONVERGENTS = {name: _convergents(make(), 10 ** 30) for name, make in FIELDS.items()}
+
+
+@st.composite
+def _elements(draw):
+    """(field name, coefficients): random, near zero, or exactly zero."""
+    name = draw(st.sampled_from(sorted(FIELDS)))
+    f = FIELDS[name]()
+    kind = draw(st.sampled_from(["random", "near-zero", "zero"]))
+    if kind == "zero":
+        return name, (F(0),) * f.degree
+    if kind == "random":
+        return name, tuple(draw(st.lists(st.fractions(max_denominator=10 ** 6),
+                                         min_size=f.degree, max_size=f.degree)))
+    # p - q alpha for a convergent p/q, times a small integer element
+    p, q = draw(st.sampled_from(CONVERGENTS[name]))
+    mult = draw(st.lists(st.integers(-3, 3), min_size=f.degree,
+                         max_size=f.degree).filter(any))
+    return name, (f.elem([p, -q]) * f.elem(mult)).coeffs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_elements())
+def test_filtered_sign_matches_exact_path(elem):
+    name, coeffs = elem
+    f = FIELDS[name]()
+    assert FieldElem(f, coeffs).sign() == _reference_sign(name, coeffs)
+    # the same element over a common denominator, as integers
+    den = math.lcm(*(c.denominator for c in coeffs))
+    assert f.sign_of([int(c * den) for c in coeffs]) == _reference_sign(name, coeffs)
+
+
+def test_filter_defers_near_zero_elements_to_the_exact_path(monkeypatch):
+    calls = []
+    exact = numfield.f_alpha_cmp
+    monkeypatch.setattr(numfield, "f_alpha_cmp",
+                        lambda f, t: calls.append(t) or exact(f, t))
+    for name, conv in CONVERGENTS.items():
+        assert conv[-1][1] > 10 ** 29
+        f = FIELDS[name]()
+        for p, q in conv:
+            for sg in (1, -1):
+                coeffs = (F(sg * p), F(-sg * q)) + (F(0),) * (f.degree - 2)
+                assert f.sign_of(coeffs) == _reference_sign(name, coeffs)
+    # the largest convergents are closer to alpha than the filter resolves
+    assert len(calls) >= 4
+
+
+def test_sign_filter_leaves_the_root_interval_alone():
+    for make in FIELDS.values():
+        f = make()
+        before = f.root_interval
+        rng = random.Random(5)
+        for _ in range(500):
+            coeffs = [F(rng.randint(-10 ** 9, 10 ** 9), rng.randint(1, 10 ** 6))
+                      for _ in range(f.degree)]
+            f.elem(coeffs).sign()
+            f.sign_of([rng.randint(-10 ** 30, 10 ** 30) for _ in range(f.degree)])
+        assert f.root_interval == before
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(small_rats, min_size=3, max_size=3), small_rats)
+def test_rational_factor_matches_general_product(cx, q):
+    f = cubic()
+    x = f.elem(cx)
+    general = numfield._reduce_mod(numfield.poly_mul(x.coeffs, [q]), f.minpoly)
+    general = tuple(general) + (F(0),) * (3 - len(general))
+    for prod in (x * q, q * x, x * f.from_rational(q), f.from_rational(q) * x):
+        assert prod.coeffs == general
+        assert all(type(c) is F for c in prod.coeffs)
+    if q.denominator == 1:
+        assert (x * int(q)).coeffs == general

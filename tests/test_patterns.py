@@ -194,3 +194,24 @@ def test_pattern_and_region_json(ab):
     reg = pattern_region(ab, p)
     rdoc = json.loads(region_json(reg))
     assert set(rdoc) == {"halfspaces", "translations"}
+
+
+def test_vertex_stars_reuse_the_patch_membership(ab, monkeypatch):
+    built = []
+    init = LatticeMembership.__init__
+
+    def counting_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(LatticeMembership, "__init__", counting_init)
+    patch = digitize(ab, radius=F(8), seed=4)
+    stars = patch_vertex_stars(patch)
+    assert built == [patch.member]
+    monkeypatch.undo()
+    fresh = LatticeMembership(window(ab), eprime_basis(ab), patch.offset)
+    expected = {}
+    for v in sorted(patch.vertex_set()):
+        pat = vertex_star(fresh, v).canonical()
+        expected.setdefault(pat.encode(), pat)
+    assert [p.encode() for p in stars] == list(expected)

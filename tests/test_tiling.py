@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -155,3 +156,68 @@ def test_spec_offset_resolution(penrose_spec, penrose, ab_spec, ab):
     off = spec_offset(penrose_spec, penrose)
     assert off == integral_sum_offset(penrose)
     assert spec_offset(ab_spec, ab) is None
+
+
+def _reference_status(w, b, offset, x):
+    """Membership of B x in the translated window with FieldElem arithmetic."""
+    zero = b[0, 0].field.zero
+    result = 1
+    for nu, lo, hi in w.slabs:
+        m = len(nu)
+        value = sum((nu[i] * b[i, j] * xj for i in range(m) for j, xj in enumerate(x)),
+                    start=zero)
+        shift = sum((nu[i] * offset[i] for i in range(m)), start=zero)
+        s1 = (value - lo - shift).sign()
+        s2 = (hi + shift - value).sign()
+        if s1 < 0 or s2 < 0:
+            return -1
+        if s1 == 0 or s2 == 0:
+            result = 0
+    return result
+
+
+@pytest.mark.parametrize("name", ["typical", "ab", "penrose"])
+def test_membership_matches_field_evaluation(name, request):
+    s = request.getfixturevalue(name)
+    off = integral_sum_offset(s) if name == "penrose" else None
+    patch = digitize(s, offset=off, radius=F(6), seed=3)
+    w, b = window(s), eprime_basis(s)
+    member = LatticeMembership(w, b, patch.offset)
+    points = set()
+    for v in patch.vertex_set():
+        points.add(v)
+        for i in range(s.n):
+            for sg in (1, -1):
+                points.add(v[:i] + (v[i] + sg,) + v[i + 1:])
+    assert {member.status(x) for x in points} == {1, -1}
+    for x in sorted(points):
+        assert member.status(x) == _reference_status(w, b, patch.offset, x)
+    # at offset 0 corners of the unit cube project onto the window boundary
+    zero = (s.field.zero,) * (s.n - s.d)
+    at_zero = LatticeMembership(w, b, zero)
+    box = list(itertools.product((-1, 0, 1), repeat=s.n))
+    for x in box:
+        assert at_zero.status(x) == _reference_status(w, b, zero, x)
+    assert {at_zero.status(x) for x in box} == {1, 0, -1}
+
+
+# SHA-256 of patch_json at radius 9, recorded with the FieldElem membership
+# kernel; the seeds are the benchmark's digitize seeds at --seed 0
+GOLDEN_PATCHES = {
+    "typical": (132381, 555,
+                "e3e588cc09a91bbfba5bc6523e1e6d5ef194c274588ed4226c7aaf5a34843d66"),
+    "ab": (821420, 672,
+           "d3da332ba9ff4fb6cf1619d25b2d715434b08cffa17927fc972a9f6872676473"),
+    "penrose": (560670, 846,
+                "57f5e241a098bc50e2ac217f90561606644d8304b1053fd3d1441f09aba489b9"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_PATCHES))
+def test_patch_json_golden(name, request):
+    seed, faces, digest = GOLDEN_PATCHES[name]
+    spec = request.getfixturevalue(name + "_spec")
+    s = request.getfixturevalue(name)
+    patch = digitize(s, offset=spec_offset(spec, s), radius=F(9), seed=seed)
+    assert len(patch) == faces
+    assert hashlib.sha256(patch_json(patch).encode()).hexdigest() == digest
