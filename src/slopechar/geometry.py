@@ -48,10 +48,6 @@ def vec_sub(u, v):
     return tuple(a - b for a, b in zip(u, v))
 
 
-def vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def vec_dot(u, v):
     it = iter(zip(u, v))
     a, b = next(it)
@@ -139,9 +135,6 @@ class Window:
                 c[j] = c[j] + x / 2
         return tuple(c)
 
-    def translated(self, t):
-        return Window(self.generators, vec_add(self.base, t))
-
     def halfspaces(self):
         """List of (normal, offset) meaning normal . x <= offset."""
         out = []
@@ -175,11 +168,14 @@ def _unit_of(base, generators):
 
 
 def window(s: Slope) -> Window:
-    """The window pi'([0,1]^n) in exact E' coordinates (base at 0)."""
-    b = eprime_basis(s)
-    gens = [b.col(j) for j in range(s.n)]
-    zero = s.field.zero
-    return Window(gens, (zero,) * (s.n - s.d))
+    """The window pi'([0,1]^n) in exact E' coordinates (base at 0).  Cached
+    on the slope."""
+    cached = getattr(s, "_window", None)
+    if cached is None:
+        b = eprime_basis(s)
+        gens = [b.col(j) for j in range(s.n)]
+        cached = s._window = Window(gens, (s.field.zero,) * (s.n - s.d))
+    return cached
 
 
 # ---------------------------------------------------------------------------
@@ -418,12 +414,9 @@ def volume(p: HPolytope):
     return p.volume()
 
 
-def complementary_zonotope(s: Slope, directions, base=None) -> Window:
+def complementary_zonotope(s: Slope, directions) -> Window:
     """Zonotope of the n-d generators NOT in `directions` (1-based), anchored
     at the window's base; the anchor test dual to full-face membership."""
     b = eprime_basis(s)
     gens = [b.col(j) for j in range(s.n) if (j + 1) not in set(directions)]
-    zero = s.field.zero
-    if base is None:
-        base = (zero,) * (s.n - s.d)
-    return Window(gens, base)
+    return Window(gens, (s.field.zero,) * (s.n - s.d))

@@ -320,21 +320,6 @@ def kernel_int(m: Matrix):
     return [tuple(trans[j]) for j in active]
 
 
-def _gram_schmidt(basis):
-    ortho, mu = [], []
-    for i, v in enumerate(basis):
-        w = [Fraction(x) for x in v]
-        murow = []
-        for j in range(i):
-            den = _dot(ortho[j], ortho[j])
-            m_ij = _dot([Fraction(x) for x in v], ortho[j]) / den if den else Fraction(0)
-            murow.append(m_ij)
-            w = [a - m_ij * b for a, b in zip(w, ortho[j])]
-        ortho.append(w)
-        mu.append(murow)
-    return ortho, mu
-
-
 def lll(basis, delta=Fraction(3, 4)):
     """LLL reduction over Z; input vectors must be linearly independent.
 
@@ -391,13 +376,3 @@ def lll(basis, delta=Fraction(3, 4)):
         d[k] = big
         k = max(k - 1, 1)
     return [tuple(v) for v in b]
-
-
-def lll_checks(basis, delta=Fraction(3, 4)):
-    """(size_ok, lovasz_ok) for a reduced basis; used by the test suite."""
-    ortho, mu = _gram_schmidt(basis)
-    size_ok = all(abs(m) <= Fraction(1, 2) for row in mu for m in row)
-    lovasz_ok = all(
-        _dot(ortho[k], ortho[k]) >= (delta - mu[k][k - 1] ** 2) * _dot(ortho[k - 1], ortho[k - 1])
-        for k in range(1, len(basis)))
-    return size_ok, lovasz_ok

@@ -14,10 +14,10 @@ from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations
 
-from .geometry import (INSIDE, BOUNDARY, OUTSIDE, HPolytope, Window,
-                       _angle_cmp, _centroid, _sgn, abs_val, eprime_basis,
-                       vec_add, vec_dot, vec_sub, window)
+from .geometry import (OUTSIDE, HPolytope, Window, _angle_cmp, _centroid,
+                       _sgn, abs_val, eprime_basis, vec_dot, window)
 from .slope import Slope
+from .tiling import LatticeMembership
 
 
 class PatternError(Exception):
@@ -155,31 +155,23 @@ def fold_path(s: Slope, start, steps, offset=None):
     `start` is a lattice point, `steps` a list of (direction, +-1); a lattice
     point x is in-window when B x - offset lies in the (closed) window.
     """
-    b = eprime_basis(s)
-    w = window(s)
     if offset is None:
         offset = (s.field.zero,) * (s.n - s.d)
-
-    def pos(x):
-        return vec_sub(b.apply(x), offset)
-
-    def inw(x):
-        return w.contains(pos(x)) != OUTSIDE
-
+    member = LatticeMembership(window(s), eprime_basis(s), offset)
     steps = list(steps)
     end = list(start)
     for i, sg in steps:
         end[i - 1] += sg
-    if not inw(start) or not inw(tuple(end)):
+    if member.status(tuple(start)) < 0 or member.status(tuple(end)) < 0:
         raise NotFoldable("path endpoints must project inside the window")
-    budget = (len(steps) + 1) ** 2 * max(1, len(w.slabs))
+    budget = (len(steps) + 1) ** 2 * max(1, len(member.tests))
     while budget > 0:
         budget -= 1
         x = list(start)
         bad = None
         for k, (i, sg) in enumerate(steps):
             x[i - 1] += sg
-            if not inw(tuple(x)):
+            if member.status(tuple(x)) < 0:
                 bad = k
                 break
         if bad is None:
@@ -187,23 +179,18 @@ def fold_path(s: Slope, start, steps, offset=None):
         before = list(start)
         for i, sg in steps[:bad]:
             before[i - 1] += sg
-        # the hyperplane crossed by the offending edge
-        after = pos(tuple(x))
-        violated = []
-        for nu, lo, hi in w.slabs:
-            v = vec_dot(nu, after)
-            if _sgn(v - lo) < 0 or _sgn(hi - v) < 0:
-                violated.append((nu, lo, hi))
+        # the slabs crossed by the offending edge
+        violated = member.violated(tuple(x))
         swapped = False
         for j in range(bad + 1, len(steps)):
             i, sg = steps[j]
             cand = list(before)
             cand[i - 1] += sg
-            if not inw(tuple(cand)):
+            if member.status(tuple(cand)) < 0:
                 continue
-            # must come back across a violated hyperplane, not sidestep it
-            step_dir = vec_sub(pos(tuple(cand)), pos(tuple(before)))
-            if any(_sgn(vec_dot(nu, step_dir)) != 0 for nu, _, _ in violated):
+            # must come back across a violated slab, not sidestep it: the
+            # slab's functional must vary along e_i
+            if any(col[i - 1] for cols in violated for col in cols):
                 steps[bad], steps[j] = steps[j], steps[bad]
                 swapped = True
                 break
@@ -220,30 +207,13 @@ def r_pattern_at(s: Slope, q, r: int) -> LiftedPattern:
     """Union of all length-(r+1) in-window lifted walks from q, anchored at 0.
 
     q is a point of E' strictly inside the window; walk positions are
-    q + B x over lattice offsets x.
+    q + B x over lattice offsets x, so the membership's offset is -q.
     """
-    b = eprime_basis(s)
-    w = window(s)
-    q = tuple(q)
-    if w.contains(q) != INSIDE:
-        raise SingularPoint("base point not strictly inside the window")
+    member = LatticeMembership(window(s), eprime_basis(s), tuple(-c for c in q))
     n = s.n
-    gens = [b.col(j) for j in range(n)]
-    status_cache = {}
-
-    def status(x):
-        got = status_cache.get(x)
-        if got is None:
-            p = list(q)
-            for j, xj in enumerate(x):
-                if xj:
-                    for t in range(len(p)):
-                        p[t] = p[t] + gens[j][t] * xj
-            got = w.contains(tuple(p))
-            status_cache[x] = got
-        return got
-
     origin = (0,) * n
+    if member.status(origin) != 1:
+        raise SingularPoint("base point not strictly inside the window")
     dist = {origin: 0}
     frontier = [origin]
     edges = set()
@@ -253,11 +223,11 @@ def r_pattern_at(s: Slope, q, r: int) -> LiftedPattern:
             for j in range(n):
                 for sg in (1, -1):
                     y = x[:j] + (x[j] + sg,) + x[j + 1:]
-                    st = status(y)
-                    if st == BOUNDARY:
+                    st = member.status(y)
+                    if st == 0:
                         raise SingularPoint(
                             f"walk point at offset {y} lies on a window boundary")
-                    if st == OUTSIDE:
+                    if st < 0:
                         continue
                     edges.add(edge_between(x, y))
                     if y not in dist:
@@ -425,19 +395,17 @@ def _enumerate_sampled(s: Slope, r: int, w: Window, samples: int, seed: int) -> 
     lo = [min(v[j] for v in verts) for j in range(w.dim)]
     hi = [max(v[j] for v in verts) for j in range(w.dim)]
     found = {}
-    tries = 0
+    tries = points = 0
     den = 10 ** 6
-    while len(found) < 10 ** 9 and tries < samples * 20 and sum(
-            len(v) for v in found.values()) < samples:
+    while tries < samples * 20 and points < samples:
         tries += 1
         q = tuple(lo[j] + (hi[j] - lo[j]) * Fraction(rng.randint(0, den), den)
                   for j in range(w.dim))
-        if w.contains(q) != INSIDE:
-            continue
         try:
             pat = r_pattern_at(s, q, r)
         except SingularPoint:
             continue
+        points += 1
         found.setdefault(pat.encode(), (pat, []))[1].append(q)
     entries = []
     for key in sorted(found):

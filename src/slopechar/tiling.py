@@ -17,8 +17,8 @@ from fractions import Fraction
 from itertools import combinations
 from operator import mul
 
-from .geometry import (INSIDE, BOUNDARY, OUTSIDE, Window, eprime_basis,
-                       complementary_zonotope, vec_sub, window)
+from .geometry import (Window, complementary_zonotope, eprime_basis, vec_dot,
+                       window)
 from .slope import Slope
 
 
@@ -56,31 +56,45 @@ class Face:
         return out
 
 
+def _slab_rows(w: Window, b):
+    """(nu, den, cols, lo, hi) per slab of w, where coefficient t of
+    nu . B x is sum(map(mul, x, cols[t])) / den with integer cols and den > 0.
+    Kept on the window for its basis: an offset moves only the bounds."""
+    got = getattr(w, "_lattice_rows", None)
+    if got is None or got[0] is not b:
+        rows = []
+        for nu, lo, hi in w.slabs:
+            row = [vec_dot(nu, b.col(j)) for j in range(b.ncols)]
+            den = math.lcm(*(c.denominator for e in row for c in e.coeffs))
+            rows.append((nu, den, tuple(zip(*(_cleared(e, den) for e in row))), lo, hi))
+        got = w._lattice_rows = (b, rows)
+    return got[1]
+
+
+def _cleared(e, den):
+    return tuple(c.numerator * (den // c.denominator) for c in e.coeffs)
+
+
 class LatticeMembership:
     """Cached exact membership of B x in (window + offset) for x in Z^n.
 
     Each slab lo <= nu . (B x - offset) <= hi is kept as integer coefficient
     vectors over one positive common denominator: a column per coordinate of
     x and the bounds, so a test is integer dot products and two calls of the
-    field's sign filter."""
+    field's sign filter.  The columns come from the rows cached on the
+    window; the offset only moves the bounds."""
 
     def __init__(self, w: Window, b, offset):
         self.field = b[0, 0].field
-        k = self.field.degree
-        # fold the translation into the slab bounds
+        self.offset = offset = tuple(offset)
         self.tests = []
-        for nu, lo, hi in w.slabs:
-            row = [sum((nu[i] * b[i, j] for i in range(len(nu))),
-                       start=nu[0] - nu[0]) for j in range(b.ncols)]
-            shift = sum((nu[i] * offset[i] for i in range(len(nu))),
-                        start=nu[0] - nu[0])
-            elems = row + [lo + shift, hi + shift]
-            den = math.lcm(*(c.denominator for e in elems for c in e.coeffs))
-            ints = [tuple(c.numerator * (den // c.denominator) for c in e.coeffs)
-                    for e in elems]
-            # coefficient t of the functional at x is sum(map(mul, x, cols[t]))
-            cols = tuple(tuple(v[t] for v in ints[:-2]) for t in range(k))
-            self.tests.append((cols, ints[-2], ints[-1]))
+        for nu, den, cols, lo, hi in _slab_rows(w, b):
+            shift = vec_dot(nu, offset)
+            lo, hi = lo + shift, hi + shift
+            common = math.lcm(den, *(c.denominator for c in lo.coeffs + hi.coeffs))
+            if common != den:
+                cols = tuple(tuple(v * (common // den) for v in col) for col in cols)
+            self.tests.append((cols, _cleared(lo, common), _cleared(hi, common)))
         self.cache = {}
 
     def status(self, x) -> int:
@@ -101,6 +115,13 @@ class LatticeMembership:
                 result = 0
         self.cache[x] = result
         return result
+
+    def violated(self, x):
+        """Columns `cols` of each slab that B x - offset lies outside of."""
+        sign_of = self.field.sign_of
+        return [cols for cols, lo, hi in self.tests
+                if sign_of([sum(map(mul, x, col)) - c for col, c in zip(cols, lo)]) < 0
+                or sign_of([c - sum(map(mul, x, col)) for col, c in zip(cols, hi)]) < 0]
 
 
 class Patch:
@@ -287,16 +308,15 @@ def _find_seed(member: LatticeMembership, n):
 def face_selected_by_anchor(s: Slope, face: Face, offset) -> bool:
     """Complementary-zonotope anchor test, equivalent to the 2^d-corner test.
 
-    The zonotope of each direction tuple is cached on the slope."""
-    cache = getattr(s, "_anchor_zonotopes", None)
-    if cache is None:
-        cache = s._anchor_zonotopes = {}
-    zc = cache.get(face.directions)
-    if zc is None:
-        zc = cache[face.directions] = complementary_zonotope(s, face.directions)
-    b = eprime_basis(s)
-    p = vec_sub(b.apply(face.anchor), offset)
-    return zc.contains(p) == INSIDE
+    The zonotope of each direction tuple is cached on the slope, with its
+    membership at the last offset asked for."""
+    cache = vars(s).setdefault("_anchor_zonotopes", {})
+    entry = cache.get(face.directions)
+    offset = tuple(offset)
+    if entry is None or entry[1].offset != offset:
+        zc = entry[0] if entry else complementary_zonotope(s, face.directions)
+        entry = cache[face.directions] = (zc, LatticeMembership(zc, eprime_basis(s), offset))
+    return entry[1].status(face.anchor) == 1
 
 
 def tile_frequencies(p: Patch):

@@ -19,7 +19,7 @@ from slopechar.coincidence import (CoincidenceType, TrivialEquation,
                                    equation_of, grassmann_variables,
                                    integer_constraints, minimize_r, realize)
 from slopechar.geometry import INSIDE, eprime_basis, window
-from slopechar.linalg import Matrix, det, hnf, kernel_int, lll, lll_checks, rank
+from slopechar.linalg import Matrix, det, hnf, kernel_int, lll, rank
 from slopechar.patterns import (SingularPoint, cyclic_rotation_group,
                                 enumerate_r_patterns, patch_vertex_stars,
                                 r_pattern_at, rotation_classes)
@@ -28,6 +28,7 @@ from slopechar.slope import grassmann
 from slopechar.specfile import spec_offset
 from slopechar.tiling import (LatticeMembership, Face, digitize,
                               face_selected_by_anchor, tile_frequencies)
+from test_linalg import lll_checks
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"

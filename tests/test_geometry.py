@@ -8,6 +8,7 @@ from slopechar.geometry import (BOUNDARY, INSIDE, OUTSIDE, HPolytope,
 def test_window_contains_center_and_far_point(typical, ab, penrose):
     for s in (typical, ab, penrose):
         w = window(s)
+        assert window(s) is w  # cached on the slope
         assert w.contains(w.center) == INSIDE
         far = tuple(c + 100 for c in w.center)
         assert w.contains(far) == OUTSIDE

@@ -7,10 +7,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from slopechar.coincidence import coincidence_lattice, enumerate_types
-from slopechar.linalg import (DependentInput, Matrix, NotSquare, _gram_schmidt,
-                              det, hnf, identity, inverse, kernel, kernel_int,
-                              kernel_rational, lll, lll_checks, rank, rref,
-                              solve_right)
+from slopechar.linalg import (DependentInput, Matrix, NotSquare, det, hnf,
+                              identity, inverse, kernel, kernel_int,
+                              kernel_rational, lll, rank, rref, solve_right)
 
 
 def perm_det(rows):
@@ -149,6 +148,35 @@ def test_lll_dependent_input():
         lll([[1, 2, 3], [0, 0, 0], [4, 5, 6]])
     with pytest.raises(DependentInput):
         lll([[1, 0, 2], [0, 1, 1], [1, 1, 3]])
+
+
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def _gram_schmidt(basis):
+    ortho, mu = [], []
+    for i, v in enumerate(basis):
+        w = [F(x) for x in v]
+        murow = []
+        for j in range(i):
+            den = _dot(ortho[j], ortho[j])
+            m_ij = _dot([F(x) for x in v], ortho[j]) / den if den else F(0)
+            murow.append(m_ij)
+            w = [a - m_ij * b for a, b in zip(w, ortho[j])]
+        ortho.append(w)
+        mu.append(murow)
+    return ortho, mu
+
+
+def lll_checks(basis, delta=F(3, 4)):
+    """(size_ok, lovasz_ok) for a reduced basis."""
+    ortho, mu = _gram_schmidt(basis)
+    size_ok = all(abs(m) <= F(1, 2) for row in mu for m in row)
+    lovasz_ok = all(
+        _dot(ortho[k], ortho[k]) >= (delta - mu[k][k - 1] ** 2) * _dot(ortho[k - 1], ortho[k - 1])
+        for k in range(1, len(basis)))
+    return size_ok, lovasz_ok
 
 
 def _rational_lll(basis, delta=F(3, 4)):

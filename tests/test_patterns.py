@@ -1,10 +1,11 @@
+import hashlib
 import json
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from slopechar.geometry import INSIDE, OUTSIDE, eprime_basis, window
+from slopechar.geometry import BOUNDARY, INSIDE, OUTSIDE, eprime_basis, window
 from slopechar.linalg import Matrix, rank
 from slopechar.patterns import (LiftedPattern, NotFoldable, SingularPoint,
                                 cyclic_rotation_group, edge_between,
@@ -52,6 +53,25 @@ def test_r_pattern_singular_point(ab):
         r_pattern_at(ab, v, 0)
 
 
+def test_r_pattern_walk_point_on_translated_boundary(ab):
+    # q strictly inside, q + B (sg e_j) a window vertex: the walk step to
+    # sg e_j has a slab functional that is exactly 0, which only the exact
+    # path of sign_of reports
+    w, b = window(ab), eprime_basis(ab)
+    cases = 0
+    for v in w.as_hpolytope().vertices():
+        assert w.contains(v) == BOUNDARY
+        for j in range(ab.n):
+            for sg in (1, -1):
+                q = tuple(c - sg * g for c, g in zip(v, b.col(j)))
+                if w.contains(q) != INSIDE:
+                    continue
+                cases += 1
+                with pytest.raises(SingularPoint):
+                    r_pattern_at(ab, q, 0)
+    assert cases > 0
+
+
 def test_pattern_region_contains_source(ab):
     w = window(ab)
     q = w.center
@@ -81,6 +101,7 @@ def test_fold_path_keeps_intermediates_inside(ab):
     member = LatticeMembership(window(ab), eprime_basis(ab), off)
     rng = random.Random(0)
     folded_some = swapped_some = 0
+    folds = []
     patch = digitize(ab, radius=F(8), seed=1)
     verts = sorted(patch.vertex_set())
     for _ in range(200):
@@ -96,7 +117,9 @@ def test_fold_path_keeps_intermediates_inside(ab):
         try:
             folded = fold_path(ab, start, steps, offset=off)
         except NotFoldable:
+            folds.append(None)
             continue
+        folds.append(folded)
         assert sorted(folded) == sorted(steps)
         x = list(start)
         for i, sg in folded:
@@ -107,6 +130,9 @@ def test_fold_path_keeps_intermediates_inside(ab):
             swapped_some += 1
     assert folded_some > 20
     assert swapped_some > 0
+    # the folded step lists as the FieldElem slab test gave them
+    assert hashlib.sha256(json.dumps(folds).encode()).hexdigest() == \
+        "d0aa9168d453f1a80af0a0bb1063a125f3936e36bd6fa2237f3c0687dc355b41"
 
 
 def test_atlas_exact_and_partition(ab):
@@ -136,6 +162,13 @@ def test_atlas_exact_and_partition(ab):
             entry.pattern.encode() >= p.canonical().encode()
         # region of the point's own pattern contains it
         assert pattern_region(ab, p).contains(q) != OUTSIDE
+
+
+def test_sampled_atlas_takes_every_sample(penrose):
+    # every sample point that gives a pattern counts, up to `samples`
+    atlas = enumerate_r_patterns(penrose, 0, samples=4, seed=3)
+    assert not atlas.complete
+    assert sum(len(e.cells) for e in atlas.entries) == 4
 
 
 def test_rotation_group_properties():

@@ -6,7 +6,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from slopechar.geometry import BOUNDARY, INSIDE, eprime_basis, window
+from slopechar.geometry import (BOUNDARY, INSIDE, complementary_zonotope,
+                                eprime_basis, window)
 from slopechar.slope import Slope
 from slopechar.specfile import spec_offset
 from slopechar.tiling import (Face, LatticeMembership, SingularOffset,
@@ -192,6 +193,16 @@ def test_membership_matches_field_evaluation(name, request):
     assert {member.status(x) for x in points} == {1, -1}
     for x in sorted(points):
         assert member.status(x) == _reference_status(w, b, patch.offset, x)
+    # the anchor test's complementary zonotope, and an offset of Fractions
+    # instead of field elements
+    zc = complementary_zonotope(s, (1, 2))
+    rational = tuple(F(math.floor(float(c) * 997), 997) for c in patch.offset)
+    for zono, off in ((zc, patch.offset), (w, rational)):
+        other = LatticeMembership(zono, b, off)
+        got = {x: other.status(x) for x in sorted(points)[::4]}
+        assert set(got.values()) >= {1, -1}
+        for x, st in got.items():
+            assert st == _reference_status(zono, b, off, x)
     # at offset 0 corners of the unit cube project onto the window boundary
     zero = (s.field.zero,) * (s.n - s.d)
     at_zero = LatticeMembership(w, b, zero)
