@@ -468,14 +468,8 @@ def _solve_linearly(gens, active):
     return values
 
 
-def _comparison_point(gb, active, free, names, exact_values, norm_pos):
-    """A rational point on the positive-dimensional component, distinct from
-    the slope's own coordinates: specialize one free variable to a nearby
-    rational and solve the rest by linear elimination."""
-    if not free:
-        return None
-    fv = free[0]
-    v = exact_values[fv]
+def _candidates(v):
+    """Nonzero rationals near v with v's sign, simplest first."""
     lo, hi = v.interval(Fraction(1, 100))
     candidates = []
     for den in (2, 1, 3, 4):
@@ -498,21 +492,40 @@ def _comparison_point(gb, active, free, names, exact_values, norm_pos):
         candidates.sort(key=lambda c: (c.denominator, dist(c)))
     else:
         candidates.sort(key=lambda c: (dist(c), c.denominator))
+    positive = v.sign() > 0
+    return [c for c in dict.fromkeys(candidates) if (c > 0) == positive]
+
+
+def _comparison_point(gb, active, free, names, exact_values, norm_pos):
+    """A rational point on the positive-dimensional component, distinct from
+    the slope's own coordinates: specialize the free variables in turn, each
+    to the first nearby rational that leaves no nonzero constant, until
+    linear elimination solves the rest.  None unless the point has every
+    coordinate and the whole basis vanishes at it."""
     nvars = len(names)
-    rest = [a for a in active if a != fv]
-    for c in dict.fromkeys(candidates):
-        if (v.sign() > 0) != (c > 0):
-            continue
-        spec = [g.substitute([(fv, Poly.constant(nvars, c))]) for g in gb]
-        if any(g.degree() == 0 and g for g in spec):
-            continue
-        sol = _solve_linearly([g for g in spec if g], rest)
-        if sol is None:
-            continue
-        point = {names[norm_pos]: Fraction(1), names[fv]: c}
-        point.update({names[i]: val for i, val in sol.items()})
-        return point
-    return None
+    spec = list(gb)
+    values = {norm_pos: Fraction(1)}
+    for fv in free:
+        for c in _candidates(exact_values[fv]):
+            trial = [g.substitute([(fv, Poly.constant(nvars, c))]) for g in spec]
+            if not any(g.degree() == 0 and g for g in trial):
+                break
+        else:
+            return None
+        spec = [g for g in trial if g]
+        values[fv] = c
+        # free by their leading terms, the variables may still be bound to
+        # each other: stop as soon as the rest is determined
+        rest = [a for a in active if a not in values]
+        sol = _solve_linearly(spec, rest)
+        if sol is not None and len(sol) == len(rest):
+            break
+    else:
+        return None
+    values.update(sol)
+    if any(g.evaluate([values[i] for i in range(nvars)]) for g in gb):
+        return None
+    return {names[i]: x for i, x in values.items()}
 
 
 def verdict(s: Slope, normalize_at=None,

@@ -1,10 +1,11 @@
 """Coincidences: concurrent face projections and their Grassmann equations.
 
 A coincidence of a d-plane of R^n is a set of n-d+1 pairwise non-parallel
-unit (n-d-1)-faces of Z^n whose projections are concurrent in the window.
-Writing the concurrency as an overdetermined linear system, its determinant
-is linear in the integer entries and homogeneous of degree n-d in the
-Grassmann coordinates; both views are computed here exactly.
+unit (n-d-1)-faces of Z^n whose projections are concurrent in the window:
+det M(v) = 0 for a square matrix whose column 0 is linear in the integer
+entries v.  One Laplace expansion per type writes det M(v) in the Grassmann
+coordinates; its column-0 cofactors give the lattice constraints, and
+lattice vectors are realized in E' coordinates.  Everything is exact.
 """
 
 from __future__ import annotations
@@ -12,12 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from math import prod
 
 from .geometry import eprime_basis
-from .linalg import Matrix, kernel, kernel_int, lll, solve_right
+from .linalg import Matrix, kernel_int, lll, solve_right
 from .numfield import FieldElem
 from .polyring import Poly
-from .slope import Slope
+from .slope import Slope, grassmann
 
 
 class CoincidenceError(Exception):
@@ -145,61 +147,40 @@ def _column0(col0_coeffs, v):
     return [sum(c * v[k] for k, c in row.items()) for row in col0_coeffs]
 
 
-class CoincidenceSystem:
-    """The square matrix M of size n(n-d): columns (1 | r_1..r_p | lambdas).
-
-    Column 0 carries integer linear forms in the a_i's; the A-part tracks
-    the real entries; the diagonal carries copies of the generator matrix U.
-    """
-
-    def __init__(self, s: Slope, t: CoincidenceType):
-        if (s.n, s.d) != (t.n, t.d):
-            raise CoincidenceError("type does not match slope dimensions")
-        self.slope = s
-        self.type = t
-        n, d = s.n, s.d
-        self.size = n * (n - d)
-        self.p = t.p
-        zero, one = s.field.zero, s.field.one
-        self.col0_coeffs, self.a_rows = _integer_part(t)
-        # the fixed part N = (A | diag U) over the field
-        rows = []
-        for i in range(1, n - d + 1):
-            for jj in range(n):
-                row = [one * x for x in self.a_rows[(i - 1) * n + jj]]
-                for blk in range(1, n - d + 1):
-                    if blk == i:
-                        row.extend(s.generators.rows[jj])
-                    else:
-                        row.extend([zero] * d)
-                rows.append(row)
-        self.n_matrix = Matrix(rows)
-
-    def column0(self, v):
-        """Evaluate column 0 at integer entries v (over Q)."""
-        return _column0(self.col0_coeffs, v)
-
-    def matrix(self, v) -> Matrix:
-        """M with the a_i's replaced by v, over the field."""
-        one = self.slope.field.one
-        c0 = self.column0(v)
-        return Matrix((one * c0[r],) + tuple(self.n_matrix.rows[r])
-                      for r in range(self.size))
+def _check_shape(s: Slope, t: CoincidenceType):
+    if (s.n, s.d) != (t.n, t.d):
+        raise CoincidenceError("type does not match slope dimensions")
 
 
 def integer_constraints(s: Slope, t: CoincidenceType) -> Matrix:
-    """k x #a rational matrix whose vanishing is det(M) = 0 for all powers of alpha."""
-    sysm = CoincidenceSystem(s, t)
-    left = kernel(sysm.n_matrix.transpose())
+    """k x #a rational matrix whose vanishing is det(M) = 0 for all powers of alpha.
+
+    det(M(v)) = sum_r c0(v)_r * C_r for the column-0 cofactors C_r, the
+    Laplace forms' coefficients at the slope's Grassmann coordinates.  C
+    spans the left kernel of the fixed part N = (A | diag U) when N has full
+    column rank, and is zero otherwise.
+    """
+    _check_shape(s, t)
+    col0, _, data = _expansion_data(t)
+    g = grassmann(s)
+    gvals = [g[tp] for tp in grassmann_variables(s.n, s.d)[0]]
+    cofs = [s.field.zero] * len(col0)
+    for mono, form in data:
+        gm = prod(gvals[i] for i, e in enumerate(mono) for _ in range(e))
+        for r, c in form:
+            cofs[r] = cofs[r] + gm * c
     k = s.field.degree
-    if len(left) != 1:
-        # the fixed columns are already dependent: det(M) vanishes identically
-        return Matrix(tuple(Fraction(0) for _ in range(t.num_a)) for _ in range(k))
-    m = left[0]
     rows = [[Fraction(0)] * t.num_a for _ in range(k)]
-    for r, coeffs in enumerate(sysm.col0_coeffs):
+    last = next((c for c in reversed(cofs) if not c.is_zero()), None)
+    if last is None:
+        # the fixed columns are already dependent: det(M) vanishes identically
+        return Matrix(rows)
+    # scaled to 1 at its last nonzero entry, the column rref leaves free
+    inv = last.inverse()
+    for coeffs, c in zip(col0, cofs):
+        m = c * inv
         for ai, sign in coeffs.items():
-            e = m[r] * sign
+            e = m * sign
             for tdeg in range(k):
                 rows[tdeg][ai] += e.coeffs[tdeg]
     return Matrix(rows)
@@ -220,15 +201,22 @@ class Coincidence:
 
 
 def realize(s: Slope, t: CoincidenceType, v):
-    """Solve M(v) (1, r, lambda)^T = 0; Degenerate when points collide."""
-    sysm = CoincidenceSystem(s, t)
-    m = sysm.matrix(v)
-    rhs = tuple(-m[r, 0] for r in range(sysm.size))
-    rest = Matrix(tuple(row[1:]) for row in m.rows)
-    sol = solve_right(rest, rhs)
-    if sol is None:
+    """Solve B(x_0 - x_i) = 0, i = 1..n-d, for the real entries, with B the
+    E' basis, whose kernel is E; Degenerate when points collide.  Unique
+    unless the fixed part N of M is rank-deficient; then the free real
+    entries are set to 0."""
+    _check_shape(s, t)
+    n = s.n
+    col0, a_rows = _integer_part(t)
+    c0 = _column0(col0, v)
+    b = eprime_basis(s)
+    lhs, rhs = [], []
+    for i in range(0, len(a_rows), n):
+        lhs.extend((b * Matrix(a_rows[i:i + n])).rows)
+        rhs.extend(-x for x in b.apply(c0[i:i + n]))
+    rvals = solve_right(Matrix(lhs), rhs)
+    if rvals is None:
         raise InconsistentSystem("vector is not in the coincidence lattice")
-    rvals = sol[:sysm.p]
     aidx = t.a_index()
     ridx = t.r_index()
     points = []
@@ -243,7 +231,6 @@ def realize(s: Slope, t: CoincidenceType, v):
     if any(_points_equal(s, points[i], points[j])
            for i in range(len(points)) for j in range(i + 1, len(points))):
         return Degenerate(tuple(points))
-    b = eprime_basis(s)
     projs = [_apply_mixed(b, s.field, pt) for pt in points]
     for q in projs[1:]:
         if any((x - y).sign() != 0 for x, y in zip(projs[0], q)):
@@ -352,18 +339,19 @@ class CoincidenceEquation:
         return self.poly.degree()
 
 
-# (n, d, type subsets) -> (column 0 coefficients, nvars, Laplace terms); all
-# three depend only on the shape and the type, so every slope of a shape
-# shares them
+# (n, d, type subsets) -> (column 0 coefficients, nvars, Laplace forms per
+# monomial); all three depend only on the shape and the type, so every slope
+# of a shape shares them
 _EXPANSIONS = {}
 
 
 def _expansion_data(t: CoincidenceType):
-    """Per-type Laplace data: det(M(v)) = sum over U-row choices of
-    sign * (cofactor form evaluated on column 0) * prod of Grassmann vars.
+    """Per-type Laplace data: det(M(v)) = sum over Grassmann monomials of
+    (cofactor form evaluated on column 0) * monomial.
 
-    Each term's integer minor is expanded once along column 0, leaving a
-    linear form sum_r cof_r * c0[r] that is cheap to evaluate per vector.
+    Each term's integer minor is expanded once along column 0, and the terms
+    of one monomial are summed: the forms' coefficients are the column-0
+    cofactors of M as polynomials in the Grassmann coordinates.
     """
     key = (t.n, t.d, t.subsets)
     got = _EXPANSIONS.get(key)
@@ -376,7 +364,7 @@ def _expansion_data(t: CoincidenceType):
     gindex = {gt: i for i, gt in enumerate(gtuples)}
     nvars = len(gtuples)
     half = (p + 2) * (p + 1) // 2
-    data = []
+    forms = {}
     for choice in product(combinations(range(n), d), repeat=n - d):
         # rows kept for the integer/real part: complement of the U rows
         srows = []
@@ -384,34 +372,31 @@ def _expansion_data(t: CoincidenceType):
             keep = set(rset)
             srows.extend(blk * n + jj for jj in range(n) if jj not in keep)
         sign = -1 if (sum(srows) + len(srows) + half) % 2 else 1
-        form = []
+        mono = [0] * nvars
+        for rset in choice:
+            mono[gindex[tuple(jj + 1 for jj in rset)]] += 1
+        form = forms.setdefault(tuple(mono), {})
         for k, r in enumerate(srows):
             minor = [a_rows[rr] for idx, rr in enumerate(srows) if idx != k]
             cof = _int_det(minor)
             if cof:
-                form.append((r, cof if k % 2 == 0 else -cof))
-        if not form:
-            continue
-        mono = [0] * nvars
-        for rset in choice:
-            mono[gindex[tuple(jj + 1 for jj in rset)]] += 1
-        data.append((sign, tuple(form), tuple(mono)))
+                form[r] = form.get(r, 0) + (-sign if k % 2 else sign) * cof
+    data = []
+    for mono, form in forms.items():
+        form = tuple((r, c) for r, c in form.items() if c)
+        if form:
+            data.append((mono, form))
     got = _EXPANSIONS[key] = (col0, nvars, data)
     return got
 
 
 def equation_of(s: Slope, t: CoincidenceType, v):
     """Blockwise Laplace expansion of det(M(v)) into Grassmann variables."""
-    if (s.n, s.d) != (t.n, t.d):
-        raise CoincidenceError("type does not match slope dimensions")
+    _check_shape(s, t)
     col0, nvars, data = _expansion_data(t)
     c0 = _column0(col0, v)
-    terms = {}
-    for sign, form, mono in data:
-        dphi = sum(cof * c0[r] for r, cof in form)
-        if dphi:
-            terms[mono] = terms.get(mono, 0) + sign * dphi
-    poly = Poly(nvars, terms)
+    poly = Poly(nvars, {mono: sum(cof * c0[r] for r, cof in form)
+                        for mono, form in data})
     if poly.is_zero():
         return TrivialEquation()
     return CoincidenceEquation(poly, t, tuple(v))

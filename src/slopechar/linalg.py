@@ -129,8 +129,9 @@ def det(m: Matrix):
             sign_flips ^= 1
         p = rows[c][c]
         result = p if result is None else result * p
+        pinv = 1 / p
         for r in range(c + 1, n):
-            f = rows[r][c] / p
+            f = rows[r][c] * pinv
             if _is_zero(f):
                 continue
             rows[r] = [a - f * b for a, b in zip(rows[r], rows[c])]
@@ -150,8 +151,8 @@ def rref(m: Matrix):
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        p = rows[r][c]
-        rows[r] = [a / p for a in rows[r]]
+        pinv = 1 / rows[r][c]
+        rows[r] = [a * pinv for a in rows[r]]
         for i in range(nr):
             if i != r and not _is_zero(rows[i][c]):
                 f = rows[i][c]
@@ -177,7 +178,7 @@ def solve_right(a: Matrix, b):
         x[c] = red[i, a.ncols]
         zero = x[c] - x[c]
     if zero is None:
-        zero = Fraction(0) if not a.rows else a.rows[0][0] - a.rows[0][0]
+        zero = Fraction(0) if not a.ncols else a.rows[0][0] - a.rows[0][0]
     return tuple(zero if v is None else v for v in x)
 
 

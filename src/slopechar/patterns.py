@@ -14,8 +14,8 @@ from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations
 
-from .geometry import (OUTSIDE, HPolytope, Window, _angle_cmp, _centroid,
-                       _sgn, abs_val, eprime_basis, vec_dot, window)
+from .geometry import (HPolytope, Window, _angle_cmp, _centroid, _sgn,
+                       abs_val, eprime_basis, vec_dot, window)
 from .slope import Slope
 from .tiling import LatticeMembership
 
@@ -302,7 +302,6 @@ def _reachable_offsets(n, length):
 @dataclass
 class AtlasEntry:
     pattern: LiftedPattern
-    region: Region
     area: object  # exact field element: total area where this pattern occurs
     cells: list
 
@@ -312,14 +311,6 @@ class PatternAtlas:
     entries: list
     window_area: object
     complete: bool
-
-    def pattern_at(self, q):
-        best = None
-        for e in self.entries:
-            if e.region.contains(q) != OUTSIDE:
-                if best is None or len(best.pattern.edges) < len(e.pattern.edges):
-                    best = e
-        return best
 
 
 def enumerate_r_patterns(s: Slope, r: int, samples: int = 200, seed: int = 0) -> PatternAtlas:
@@ -377,7 +368,7 @@ def _enumerate_exact_2d(s: Slope, r: int, w: Window) -> PatternAtlas:
         for poly in polys:
             a = _poly_area(poly)
             area = a if area is None else area + a
-        entries.append(AtlasEntry(pat.canonical(), pattern_region(s, pat), area, polys))
+        entries.append(AtlasEntry(pat.canonical(), area, polys))
     total = None
     for e in entries:
         total = e.area if total is None else total + e.area
@@ -410,7 +401,7 @@ def _enumerate_sampled(s: Slope, r: int, w: Window, samples: int, seed: int) -> 
     entries = []
     for key in sorted(found):
         pat, pts = found[key]
-        entries.append(AtlasEntry(pat.canonical(), pattern_region(s, pat), None, pts))
+        entries.append(AtlasEntry(pat.canonical(), None, pts))
     return PatternAtlas(entries, poly.volume(), False)
 
 

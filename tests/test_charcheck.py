@@ -309,3 +309,54 @@ def test_comparison_point_for_free_coordinate_in_minus_one_zero(tmp_path):
     vals = [pt[nm] for nm in names]
     for p in v.groebner:
         assert p.evaluate(vals) == 0
+
+
+# generic cubic 4->3 hyperplanes, drawn with the benchmark's slope generator:
+# their verdicts have two free variables
+CUBIC_HYPERPLANES = {
+    # fixing the first free variable alone leaves the rest undetermined
+    "no_point": """\
+minpoly = ["2", "0", "0", "1"]
+root_interval = ["-2", "-1"]
+n = 4
+d = 3
+generators = [[["-1", "-1", "0"], ["1", "-1", "0"], ["0", "1", "0"], ["1", "-1", "-1"]], \
+[["0", "0", "-1"], ["1", "1", "0"], ["0", "0", "0"], ["-1", "1", "1"]], \
+[["0", "0", "0"], ["0", "-1", "0"], ["0", "0", "-1"], ["0", "0", "1"]]]
+normalization = "G123"
+""",
+    # fixing the first free variable alone leaves G234 unconstrained
+    "missing_coordinate": """\
+minpoly = ["-1", "1", "-2", "1"]
+root_interval = ["1", "2"]
+n = 4
+d = 3
+generators = [[["0", "0", "0"], ["-1", "1", "-1"], ["-1", "0", "-1"], ["1", "0", "0"]], \
+[["1", "-1", "1"], ["0", "0", "0"], ["1", "-1", "1"], ["0", "-1", "1"]], \
+[["-1", "1", "-1"], ["-1", "-1", "-1"], ["0", "1", "1"], ["0", "0", "0"]]]
+normalization = "G123"
+""",
+}
+
+
+@pytest.mark.parametrize("case", sorted(CUBIC_HYPERPLANES))
+def test_comparison_point_with_two_free_variables(case):
+    from slopechar.slope import grassmann
+    from slopechar.specfile import parse_spec, to_slope
+
+    spec = parse_spec(CUBIC_HYPERPLANES[case])
+    s = to_slope(spec)
+    v = verdict(s, normalize_at=spec.normalization)
+    assert v.status == "NotCharacterized"
+    tuples, names = grassmann_variables(4, 3)
+    assert len(v.witness["free_variables"]) == 2
+    pt = v.witness["comparison_point"]
+    assert pt is not None and set(pt) == set(names)
+    vals = [pt[nm] for nm in names]
+    for p in v.groebner:
+        assert p.evaluate(vals) == 0
+    for p in v.witness["family"]:
+        assert p.evaluate(vals) == 0
+    g = grassmann(s)
+    scaled = [g[t] / g[v.normalization] for t in tuples]
+    assert any(x != y for x, y in zip(vals, scaled))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -60,6 +61,17 @@ def test_coincidences(tmp_path):
     for t in doc["types"]:
         assert len(t["lattice"]) == 6
         assert len(t["realized"]) == len(t["lattice"])
+
+
+@pytest.mark.parametrize("spec, digest", [
+    (TYPICAL, "4c1d9049d34b917d07b5f51aa90893a31f31522754c0717e5ab7162faf691d17"),
+    (AB, "1e8404b6953d7d2974786b79cbae825140dde462254f21f12c8dd38fb620f0fc"),
+])
+def test_coincidences_golden(tmp_path, spec, digest):
+    # lattices, realizations and minimized r as the full-system elimination
+    # gave them
+    _, text = _run_json(["coincidences", spec], tmp_path, "coincidences")
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_equations(tmp_path):

@@ -3,20 +3,76 @@ from fractions import Fraction as F
 
 import pytest
 
-from slopechar import coincidence
+from slopechar import coincidence, specfile
 from slopechar.coincidence import (Coincidence, CoincidenceEquation,
                                    CoincidenceType, Degenerate,
-                                   InconsistentSystem, CoincidenceSystem,
-                                   TrivialEquation, all_equations,
-                                   coincidence_lattice, enumerate_types,
-                                   equation_of, grassmann_variables,
-                                   integer_constraints, minimize_r, realize)
-from slopechar.linalg import Matrix, det, kernel_int, rank
+                                   InconsistentSystem, TrivialEquation,
+                                   all_equations, coincidence_lattice,
+                                   enumerate_types, equation_of,
+                                   grassmann_variables, integer_constraints,
+                                   minimize_r, realize)
+from slopechar.geometry import eprime_basis
+from slopechar.linalg import (Matrix, det, kernel, kernel_int, rank,
+                              solve_right)
 from slopechar.numfield import NumberField
 from slopechar.slope import Slope, grassmann
 
 SEC6_TYPE = CoincidenceType(4, 2, [(4,), (3,), (2,)])
 SEC6_VECTOR = (3, -3, 3, 3, 3, 2, -5, -3, -3)
+
+# a generic 5->3 slope over Q(sqrt 5)
+SPEC_53 = """\
+minpoly = ["-5", "0", "1"]
+root_interval = ["2", "3"]
+n = 5
+d = 3
+generators = [[["1", "0"], ["0", "0"], ["0", "0"], ["1", "1"], ["-1", "0"]], [["0", "0"], ["1", "0"], ["0", "0"], ["0", "1"], ["1", "0"]], [["0", "0"], ["0", "0"], ["1", "0"], ["0", "-1"], ["1", "1"]]]
+normalization = "G123"
+"""
+
+
+def _reference_matrix(s, t, v):
+    """The square concurrency system M(v) of size n(n-d) over the field, with
+    columns (1 | r_1..r_p | lambdas): row (i, j) says x_0 - x_i + U lambda_i = 0
+    at coordinate j.  Column 0 carries the integer entries, the A-part the
+    real entries, the diagonal blocks copies of the generator matrix U."""
+    n, d = s.n, s.d
+    zero, one = s.field.zero, s.field.one
+    col0, a_rows = coincidence._integer_part(t)
+    rows = []
+    for r, (coeffs, arow) in enumerate(zip(col0, a_rows)):
+        i, jj = divmod(r, n)
+        row = [one * sum(c * v[k] for k, c in coeffs.items())]
+        row.extend(one * x for x in arow)
+        for blk in range(n - d):
+            row.extend(s.generators.rows[jj] if blk == i else [zero] * d)
+        rows.append(row)
+    return Matrix(rows)
+
+
+def _reference_constraints(s, t):
+    """integer_constraints from an elimination: the left kernel of the fixed
+    part N of M, with its free entry at 1, expanded in powers of alpha."""
+    fixed = Matrix(r[1:] for r in _reference_matrix(s, t, (0,) * t.num_a).rows)
+    left = kernel(fixed.transpose())
+    assert len(left) == 1
+    col0, _ = coincidence._integer_part(t)
+    k = s.field.degree
+    rows = [[F(0)] * t.num_a for _ in range(k)]
+    for r, coeffs in enumerate(col0):
+        for ai, sign in coeffs.items():
+            e = left[0][r] * sign
+            for tdeg in range(k):
+                rows[tdeg][ai] += e.coeffs[tdeg]
+    return Matrix(rows)
+
+
+def _real_entries(t, points):
+    ridx = t.r_index()
+    out = [None] * t.p
+    for (i, j), q in ridx.items():
+        out[q] = points[i][j - 1]
+    return tuple(out)
 
 
 def test_enumerate_types_counts():
@@ -118,12 +174,57 @@ def test_equation_determinant_oracle(typical):
                         break
                     except Exception:
                         continue
-                sysm = CoincidenceSystem(s2, t)
-                direct = det(sysm.matrix(v))
+                direct = det(_reference_matrix(s2, t, v))
                 g2 = grassmann(s2)
                 vals = [g2[tp] for tp in tuples]
                 via_poly = eq.poly.evaluate(vals)
                 assert direct == via_poly
+
+
+@pytest.mark.parametrize("name", ["typical", "ab", "slope53"])
+def test_cofactors_match_elimination(name, typical, ab):
+    """Constraint rows from the cofactors and realizations in E' coordinates
+    equal the rows and r values of an elimination on the full system M."""
+    s = {"typical": typical, "ab": ab,
+         "slope53": specfile.to_slope(specfile.parse_spec(SPEC_53))}[name]
+    realized = 0
+    for t in enumerate_types(s.n, s.d):
+        assert integer_constraints(s, t) == _reference_constraints(s, t)
+        for v in coincidence_lattice(s, t):
+            m = _reference_matrix(s, t, v)
+            sol = solve_right(Matrix(r[1:] for r in m.rows), [-x for x in m.col(0)])
+            try:
+                c = realize(s, t, v)
+            except InconsistentSystem:
+                assert sol is None
+                continue
+            assert _real_entries(t, c.points) == sol[:t.p]
+            realized += 1
+    assert realized
+
+
+def test_rank_deficient_type():
+    """A type whose fixed part N is rank-deficient: det(M) vanishes for every
+    vector, so there are no constraint rows; a realization is then not unique
+    (free real entries are set to 0) but still projects together."""
+    q = NumberField.rationals()
+    s = Slope(q, 4, 2, [[F(-2), F(1), F(0), F(-1)], [F(2), F(-2), F(0), F(-2)]])
+    t = CoincidenceType(4, 2, [(1,), (2,), (4,)])
+    assert integer_constraints(s, t) == Matrix([[F(0)] * t.num_a])
+    b = eprime_basis(s)
+    outcomes = set()
+    for v in coincidence_lattice(s, t) + [(0, 2, -2, 1, 2, 1, 1, 0, 2)]:
+        try:
+            c = realize(s, t, v)
+        except InconsistentSystem:
+            outcomes.add("inconsistent")
+            continue
+        outcomes.add(type(c).__name__)
+        if isinstance(c, Coincidence):
+            projs = {b.apply([q.from_rational(x) if isinstance(x, int) else x
+                              for x in pt]) for pt in c.points}
+            assert len(projs) == 1
+    assert {"Degenerate", "Coincidence"} <= outcomes
 
 
 def test_equation_of_cold_and_warm_cache(typical, ab):

@@ -10,6 +10,7 @@ from slopechar.coincidence import coincidence_lattice, enumerate_types
 from slopechar.linalg import (DependentInput, Matrix, NotSquare, det, hnf,
                               identity, inverse, kernel, kernel_int,
                               kernel_rational, lll, rank, rref, solve_right)
+from slopechar.numfield import FieldElem, NumberField
 
 
 def perm_det(rows):
@@ -71,6 +72,32 @@ def test_solve_right_and_inverse():
         assert solve_right(m, b) == x
         assert inverse(m) * m == identity(n)
     assert solve_right(Matrix([[F(1)], [F(1)]]), (F(0), F(1))) is None
+
+
+def test_solve_right_without_unknowns():
+    # consistent exactly when the right-hand side vanishes
+    assert solve_right(Matrix([[], []]), (F(0), F(0))) == ()
+    assert solve_right(Matrix([[], []]), (F(0), F(1))) is None
+
+
+def test_field_elimination_inverts_each_pivot_once(monkeypatch):
+    f = NumberField([F(-2), F(0), F(0), F(1)], (F(1), F(2)))
+    rng = random.Random(5)
+    m = Matrix([[f.elem([F(rng.randint(-3, 3)) for _ in range(3)])
+                 for _ in range(4)] for _ in range(4)])
+    calls = []
+    inverse_of = FieldElem.inverse
+    monkeypatch.setattr(FieldElem, "inverse",
+                        lambda self: calls.append(self) or inverse_of(self))
+    value = det(m)
+    assert len(calls) <= 4
+    assert value == perm_det(m.rows)
+    calls.clear()
+    red, pivots = rref(Matrix(m.rows[:3]))
+    assert len(calls) == len(pivots) == 3
+    for i, c in enumerate(pivots):
+        assert [red[r, c] for r in range(3)] == [f.one if r == i else f.zero
+                                                 for r in range(3)]
 
 
 def test_kernel_annihilates():

