@@ -8,10 +8,9 @@ the projector pi', so every predicate is a sign computation in Q(alpha).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cmp_to_key
 from itertools import combinations
 
-from .linalg import Matrix, inverse, rref
+from .linalg import Matrix, det, inverse, rref, solve_right
 from .slope import Slope, projectors
 
 
@@ -44,10 +43,6 @@ def eprime_basis(s: Slope) -> Matrix:
     return b
 
 
-def vec_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
-
-
 def vec_dot(u, v):
     it = iter(zip(u, v))
     a, b = next(it)
@@ -66,8 +61,7 @@ def cross_normal(vectors, m, one):
     normal = []
     for j in range(m):
         sub = Matrix(tuple(r[:j] + r[j + 1:]) for r in rows)
-        from .linalg import det as _det
-        minor = _det(sub) if sub.nrows else one
+        minor = det(sub) if sub.nrows else one
         normal.append(minor if j % 2 == 0 else -minor)
     if all(_sgn(c) == 0 for c in normal):
         return None
@@ -155,6 +149,24 @@ class Window:
                 on_boundary = True
         return BOUNDARY if on_boundary else INSIDE
 
+    def volume(self):
+        """Exact volume: the sum of |det| over the dim-subsets of the
+        generators (Shephard, Canad. J. Math. 1974)."""
+        return sum(abs(det(Matrix(sub)))
+                   for sub in combinations(self.generators, self.dim))
+
+    def bounding_box(self):
+        """(lo, hi) per coordinate: the base plus the negative, resp.
+        positive, coordinates of the generators."""
+        lo, hi = list(self.base), list(self.base)
+        for g in self.generators:
+            for j, x in enumerate(g):
+                if _sgn(x) < 0:
+                    lo[j] = lo[j] + x
+                else:
+                    hi[j] = hi[j] + x
+        return lo, hi
+
     def as_hpolytope(self) -> "HPolytope":
         return HPolytope(self.halfspaces(), self.dim)
 
@@ -231,8 +243,7 @@ class HPolytope:
         seen = set()
         for sub in combinations(range(len(hs)), m):
             a = Matrix(hs[i][0] for i in sub)
-            from .linalg import det as _det, solve_right
-            if _sgn(_det(a)) == 0:
+            if _sgn(det(a)) == 0:
                 continue
             p = solve_right(a, tuple(hs[i][1] for i in sub))
             if p is None:
@@ -249,92 +260,6 @@ class HPolytope:
                     verts.append(p)
         self._vertices = verts
         return verts
-
-    def is_empty(self) -> bool:
-        if self.dim <= 3:
-            return not self.vertices()
-        raise DimensionTooHigh("emptiness via vertices needs dim <= 3")
-
-    def irredundant_halfspaces(self):
-        """Half-spaces tight at >= dim vertices (facet-defining ones)."""
-        verts = self.vertices()
-        out = []
-        for nu, c in self._dedup_halfspaces():
-            tight = sum(1 for p in verts if _sgn(c - vec_dot(nu, p)) == 0)
-            if tight >= self.dim:
-                out.append((nu, c))
-        return out
-
-    def affine_dim(self) -> int:
-        verts = self.vertices()
-        if not verts:
-            return -1
-        diffs = [vec_sub(v, verts[0]) for v in verts[1:]]
-        if not diffs:
-            return 0
-        from .linalg import rank
-        return rank(Matrix(diffs))
-
-    def interior_empty(self) -> bool:
-        """True iff affine dimension < ambient dimension (or empty)."""
-        return self.affine_dim() < self.dim
-
-    def volume(self):
-        """Exact volume (dim <= 3) via triangulation of the vertex list."""
-        if self.dim > 3:
-            raise DimensionTooHigh(f"volume in dim {self.dim}")
-        verts = self.vertices()
-        if not verts:
-            return Fraction(0)
-        one = _unit_like(verts)
-        zero = one - one
-        if self.affine_dim() < self.dim:
-            return zero
-        if self.dim == 1:
-            xs = [v[0] for v in verts]
-            lo = xs[0]
-            hi = xs[0]
-            for x in xs[1:]:
-                if _sgn(x - lo) < 0:
-                    lo = x
-                if _sgn(x - hi) > 0:
-                    hi = x
-            return hi - lo
-        centroid = _centroid(verts)
-        if self.dim == 2:
-            ring = _angular_sort(verts, centroid)
-            acc = zero
-            for a, b in zip(ring, ring[1:] + ring[:1]):
-                acc = acc + (a[0] - centroid[0]) * (b[1] - centroid[1]) \
-                          - (a[1] - centroid[1]) * (b[0] - centroid[0])
-            return abs_val(acc) / 2
-        # dim == 3: fan over facet triangulations from the centroid
-        from .linalg import det as _det
-        acc = zero
-        for nu, c in self.irredundant_halfspaces():
-            face = [p for p in verts if _sgn(c - vec_dot(nu, p)) == 0]
-            if len(face) < 3:
-                continue
-            fc = _centroid(face)
-            ring = _angular_sort_in_plane(face, fc, nu)
-            for a, b in zip(ring, ring[1:] + ring[:1]):
-                t = _det(Matrix([vec_sub(a, centroid),
-                                 vec_sub(b, centroid),
-                                 vec_sub(fc, centroid)]))
-                acc = acc + abs_val(t)
-        return acc / 6
-
-
-def abs_val(x):
-    return -x if _sgn(x) < 0 else x
-
-
-def _unit_like(verts):
-    for v in verts:
-        for c in v:
-            if _sgn(c) != 0:
-                return c / c
-    return Fraction(1)
 
 
 def _centroid(pts):
@@ -362,56 +287,6 @@ def _angle_cmp(center):
         s = _sgn(cross)
         return -s
     return cmp
-
-
-def _angular_sort(pts, center):
-    return sorted(pts, key=cmp_to_key(_angle_cmp(center)))
-
-
-def _angular_sort_in_plane(pts, center, normal):
-    # affine 2D coordinates within the plane; any linear chart preserves
-    # the convex cyclic order
-    axes = None
-    for p in pts:
-        d = vec_sub(p, center)
-        if any(_sgn(x) != 0 for x in d):
-            axes = [d]
-            break
-    for p in pts:
-        d = vec_sub(p, center)
-        from .linalg import rank as _rank
-        if _rank(Matrix(axes + [d])) == 2:
-            axes.append(d)
-            break
-    a1, a2 = axes
-    g11, g12, g22 = vec_dot(a1, a1), vec_dot(a1, a2), vec_dot(a2, a2)
-    den = g11 * g22 - g12 * g12
-    coords = {}
-    flat = []
-    for p in pts:
-        d = vec_sub(p, center)
-        b1, b2 = vec_dot(d, a1), vec_dot(d, a2)
-        u = (b1 * g22 - b2 * g12) / den
-        v = (b2 * g11 - b1 * g12) / den
-        flat.append(((u, v), p))
-    origin = (den - den, den - den)
-    order = _angular_sort([uv for uv, _ in flat], origin)
-    lookup = {id(uv): p for uv, p in flat}
-    return [lookup[id(uv)] for uv in order]
-
-
-def intersect_halfspaces(halfspaces, dim):
-    """(HPolytope, vertex list); empty vertex list marks EmptyIntersection."""
-    p = HPolytope(halfspaces, dim)
-    return p, (p.vertices() if dim <= 3 else None)
-
-
-def interior_empty(p: HPolytope) -> bool:
-    return p.interior_empty()
-
-
-def volume(p: HPolytope):
-    return p.volume()
 
 
 def complementary_zonotope(s: Slope, directions) -> Window:

@@ -15,7 +15,7 @@ from functools import cmp_to_key
 from itertools import combinations
 
 from .geometry import (HPolytope, Window, _angle_cmp, _centroid, _sgn,
-                       abs_val, eprime_basis, vec_dot, window)
+                       eprime_basis, vec_dot, window)
 from .slope import Slope
 from .tiling import LatticeMembership
 
@@ -121,12 +121,6 @@ class Region:
     polytope: HPolytope
     pattern: LiftedPattern
     translations: list
-
-    def is_empty(self):
-        return self.polytope.is_empty()
-
-    def interior_empty(self):
-        return self.polytope.interior_empty()
 
     def contains(self, p) -> str:
         return self.polytope.contains(p)
@@ -274,7 +268,7 @@ def _poly_area(poly):
         a, b = poly[k], poly[(k + 1) % len(poly)]
         t = a[0] * b[1] - b[0] * a[1]
         acc = t if acc is None else acc + t
-    return abs_val(acc / 2)
+    return abs(acc / 2)
 
 
 def _window_polygon(w: Window):
@@ -372,7 +366,7 @@ def _enumerate_exact_2d(s: Slope, r: int, w: Window) -> PatternAtlas:
     total = None
     for e in entries:
         total = e.area if total is None else total + e.area
-    window_area = _poly_area(base_poly)
+    window_area = w.volume()
     complete = _sgn(total - window_area) == 0
     return PatternAtlas(entries, window_area, complete)
 
@@ -381,10 +375,7 @@ def _enumerate_sampled(s: Slope, r: int, w: Window, samples: int, seed: int) -> 
     import random
 
     rng = random.Random(seed)
-    poly = w.as_hpolytope()
-    verts = poly.vertices()
-    lo = [min(v[j] for v in verts) for j in range(w.dim)]
-    hi = [max(v[j] for v in verts) for j in range(w.dim)]
+    lo, hi = w.bounding_box()
     found = {}
     tries = points = 0
     den = 10 ** 6
@@ -402,7 +393,7 @@ def _enumerate_sampled(s: Slope, r: int, w: Window, samples: int, seed: int) -> 
     for key in sorted(found):
         pat, pts = found[key]
         entries.append(AtlasEntry(pat.canonical(), None, pts))
-    return PatternAtlas(entries, poly.volume(), False)
+    return PatternAtlas(entries, w.volume(), False)
 
 
 # ---------------------------------------------------------------------------

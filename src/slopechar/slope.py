@@ -124,12 +124,16 @@ def _perm_sign(seq, sorted_seq):
 
 
 def grassmann(s: Slope) -> GrassmannCoords:
-    """All (n choose d) minors of the generator matrix, ascending tuples."""
-    vals = {}
-    for rows in combinations(range(s.n), s.d):
-        sub = Matrix(tuple(s.generators.rows[i]) for i in rows)
-        vals[tuple(i + 1 for i in rows)] = det(sub)
-    return GrassmannCoords(s.n, s.d, vals)
+    """All (n choose d) minors of the generator matrix, ascending tuples.
+    Cached on the slope."""
+    cached = getattr(s, "_grassmann", None)
+    if cached is None:
+        vals = {}
+        for rows in combinations(range(s.n), s.d):
+            sub = Matrix(tuple(s.generators.rows[i]) for i in rows)
+            vals[tuple(i + 1 for i in rows)] = det(sub)
+        cached = s._grassmann = GrassmannCoords(s.n, s.d, vals)
+    return cached
 
 
 def plucker_relation_index_pairs(n: int, d: int):

@@ -12,8 +12,8 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .numfield import NumberField
-from .slope import Slope
+from .numfield import FieldError, NumberField
+from .slope import Slope, SlopeError
 
 
 class SpecError(Exception):
@@ -109,9 +109,15 @@ def load_spec(path) -> SlopeSpec:
 
 
 def to_slope(spec: SlopeSpec) -> Slope:
-    field = NumberField(list(spec.minpoly), spec.root_interval)
+    try:
+        field = NumberField(list(spec.minpoly), spec.root_interval)
+    except FieldError as exc:
+        raise SpecError(f"minpoly and root_interval: {exc}") from exc
     gens = [[list(e) for e in col] for col in spec.generators]
-    return Slope(field, spec.n, spec.d, gens)
+    try:
+        return Slope(field, spec.n, spec.d, gens)
+    except SlopeError as exc:
+        raise SpecError(f"generators: {exc}") from exc
 
 
 def spec_offset(spec: SlopeSpec, slope: Slope):

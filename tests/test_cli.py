@@ -13,6 +13,7 @@ SCHEMAS = ROOT / "schemas"
 
 TYPICAL = str(FIXTURES / "typical.slope")
 AB = str(FIXTURES / "ammann_beenker.slope")
+PENROSE = str(FIXTURES / "penrose.slope")
 
 
 def _schema(name):
@@ -72,6 +73,14 @@ def test_coincidences_golden(tmp_path, spec, digest):
     # gave them
     _, text = _run_json(["coincidences", spec], tmp_path, "coincidences")
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_rpatterns_sampled_golden(tmp_path):
+    # the sampled 3-D atlas as vertex enumeration of the window gave it
+    _, text = _run_json(["rpatterns", PENROSE, "--r", "0", "--samples", "20"],
+                        tmp_path, "rpatterns")
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "2a63a7bb9a933214bf8d4127525bcdb868c82a9440734f5b53a8160aad8a227b"
 
 
 def test_equations(tmp_path):
@@ -144,3 +153,22 @@ def test_exit_code_resource_limit(monkeypatch, capsys):
     monkeypatch.setattr(charcheck, "verdict", boom)
     assert cli.main(["verdict", TYPICAL]) == cli.EXIT_RESOURCE
     assert "resource limit" in capsys.readouterr().err
+
+
+GOOD_GENERATORS = "[[1, 0, [0, 1], 1], [0, 1, 1, [0, 1]]]"
+
+
+@pytest.mark.parametrize("minpoly, interval, generators", [
+    ('["-4", 0, 1]', '["1", "3"]', GOOD_GENERATORS),  # reducible minpoly
+    ('["-2", 0, 1]', '["2", "3"]', GOOD_GENERATORS),  # no root in the interval
+    ('["-2", 0, 1]', '["1", "2"]',
+     "[[1, 0, [0, 1], 1], [2, 0, [0, 2], 2]]"),  # dependent generators
+], ids=["reducible", "no_root", "dependent"])
+def test_bad_spec_exits_with_one_line(tmp_path, capsys, minpoly, interval, generators):
+    path = tmp_path / "bad.slope"
+    path.write_text(f"minpoly = {minpoly}\nroot_interval = {interval}\n"
+                    f"n = 4\nd = 2\ngenerators = {generators}\n")
+    assert cli.main(["info", str(path)]) == cli.EXIT_PARSE
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")

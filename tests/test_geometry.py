@@ -1,8 +1,11 @@
 from fractions import Fraction as F
+from itertools import product
+
+import pytest
 
 from slopechar.geometry import (BOUNDARY, INSIDE, OUTSIDE, HPolytope,
-                                complementary_zonotope, eprime_basis,
-                                intersect_halfspaces, window)
+                                complementary_zonotope, eprime_basis, window)
+from slopechar.patterns import _window_polygon
 
 
 def test_window_contains_center_and_far_point(typical, ab, penrose):
@@ -24,22 +27,40 @@ def test_window_vertices_on_boundary(ab):
         assert w.contains(v) == BOUNDARY
 
 
-def test_window_area_ab(ab):
-    # octagon with unit-square plus sqrt(2) contributions: 1/2 + sqrt(2)/4...
-    # verified against the exact shoelace of its vertices
-    poly = window(ab).as_hpolytope()
-    verts = poly.vertices()
-    a = ab.field.alpha
-    area = poly.volume()
-    # shoelace oracle over the field
-    from slopechar.geometry import _angular_sort, _centroid
-    ring = _angular_sort(list(verts), _centroid(verts))
-    twice = ab.field.zero
-    for i in range(len(ring)):
-        x1, y1 = ring[i]
-        x2, y2 = ring[(i + 1) % len(ring)]
+def _shoelace(ring):
+    twice = 0
+    for (x1, y1), (x2, y2) in zip(ring, ring[1:] + ring[:1]):
         twice = twice + (x1 * y2 - x2 * y1)
-    assert area == twice / 2 or area == -(twice / 2)
+    return abs(twice / 2)
+
+
+def test_window_area_ab(ab):
+    # the octagon's area from its generators equals the shoelace area of its
+    # vertices, found by half-space vertex enumeration
+    w = window(ab)
+    assert w.volume() == _shoelace(_window_polygon(w))
+    assert w.volume() == ab.field.elem([F(1, 2), F(1, 4)])
+
+
+def test_window_area_typical(typical):
+    w = window(typical)
+    assert w.volume() == _shoelace(_window_polygon(w))
+
+
+def test_window_volume_penrose(penrose):
+    # the value the vertex triangulation of the 3-D window gave
+    assert window(penrose).volume() == penrose.field.elem([F(1, 5), F(3, 5)])
+
+
+@pytest.mark.parametrize("name", ["typical", "ab", "penrose"])
+def test_window_bounding_box_is_hull_of_cube_images(name, request):
+    s = request.getfixturevalue(name)
+    b = eprime_basis(s)
+    images = [b.apply(c) for c in product((0, 1), repeat=s.n)]
+    lo, hi = window(s).bounding_box()
+    for j in range(s.n - s.d):
+        assert lo[j] == min(p[j] for p in images)
+        assert hi[j] == max(p[j] for p in images)
 
 
 def test_window_projects_all_cube_vertices(typical):
@@ -51,26 +72,19 @@ def test_window_projects_all_cube_vertices(typical):
         assert w.contains(p) in (INSIDE, BOUNDARY)
 
 
-def test_hpolytope_empty_and_interior():
+def test_hpolytope_empty_interval():
     one = F(1)
-    # x >= 0, x <= -1 is empty
-    empty = HPolytope([((one,), F(0)), ((-one,), F(-1))], 1)
-    assert empty.is_empty()
-    # a segment in the plane has empty interior
-    seg = HPolytope([((one, F(0)), F(1)), ((-one, F(0)), F(-1)),
-                     ((F(0), one), F(0)), ((F(0), -one), F(0))], 2)
-    assert not seg.is_empty()
-    assert seg.interior_empty()
+    # x <= 0, x >= 1 has no vertex
+    assert HPolytope([((one,), F(0)), ((-one,), F(-1))], 1).vertices() == []
 
 
 def test_intersect_halfspaces_square():
     one = F(1)
-    square, verts = intersect_halfspaces(
+    square = HPolytope(
         [((one, F(0)), F(1)), ((-one, F(0)), F(0)),
          ((F(0), one), F(1)), ((F(0), -one), F(0))], 2)
-    assert sorted(verts) == [
+    assert sorted(square.vertices()) == [
         (F(0), F(0)), (F(0), F(1)), (F(1), F(0)), (F(1), F(1))]
-    assert square.volume() == 1
 
 
 def test_complementary_zonotope_smaller(ab):
