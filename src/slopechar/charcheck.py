@@ -32,6 +32,11 @@ class ResourceLimit(CharcheckError):
     """Degree or basis-size cap exceeded during Buchberger."""
 
 
+class VanishingNormalization(CharcheckError):
+    """The requested normalization coordinate is 0 at the slope: an input
+    error of the spec, not a program fault."""
+
+
 # ---------------------------------------------------------------------------
 # ideal assembly
 
@@ -131,7 +136,9 @@ def assemble_ideal(s: Slope, equations=None, normalize_at=None):
         normalize_at = max(tuples, key=lambda t: abs(g[t]))
     norm_pos = tuples.index(tuple(normalize_at))
     if g[tuple(normalize_at)].is_zero():
-        raise CharcheckError(f"normalization coordinate {normalize_at} vanishes")
+        name = "G" + "".join(str(i) for i in normalize_at)
+        raise VanishingNormalization(
+            f"normalization coordinate {name} vanishes at the slope")
     nvars = len(tuples)
     one = Poly.constant(nvars, 1)
     polys = [e.poly for e in equations] + plucker_polys(s.n, s.d)

@@ -2,8 +2,8 @@
 
 Subcommands: info, digitize, coincidences, equations, verdict, regions,
 rpatterns.  All take a slope-spec file; outputs are deterministic given the
-spec and seed.  Exit codes: 1 parse error, 2 resource limit, 3 singular
-offset.
+spec and seed.  Exit codes: 1 bad input (a parse error, an invalid spec or
+a vanishing normalization coordinate), 2 resource limit, 3 singular offset.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import charcheck, coincidence, patterns, specfile, tiling
-from .charcheck import ResourceLimit
+from .charcheck import ResourceLimit, VanishingNormalization
 from .numfield import FieldElem
 from .slope import grassmann, is_generic, plucker_residuals
 from .specfile import SpecError
@@ -232,7 +232,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (SpecError, OSError, ValueError) as exc:
+    except (SpecError, VanishingNormalization, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ResourceLimit as exc:

@@ -211,14 +211,17 @@ class NumberField:
     """Q(alpha) for the unique real root alpha of `minpoly` in `root_interval`."""
 
     def __init__(self, minpoly: Iterable, root_interval):
-        coeffs = poly_trim([_rat(c) for c in minpoly])
+        given = [_rat(c) for c in minpoly]
+        coeffs = poly_trim(given)
         if len(coeffs) < 2:
             raise FieldError("minpoly must be nonconstant")
         lc = coeffs[-1]
         self.minpoly: tuple[Fraction, ...] = tuple(c / lc for c in coeffs)
         self.degree: int = len(self.minpoly) - 1
         if not is_irreducible(self.minpoly):
-            raise ReducibleMinpoly(f"minpoly {list(minpoly)} is reducible over Q")
+            # in the spec's own notation: ["-4", "0", "1"]
+            text = ", ".join(f'"{c}"' for c in given)
+            raise ReducibleMinpoly(f"minpoly [{text}] is reducible over Q")
         lo, hi = _rat(root_interval[0]), _rat(root_interval[1])
         if not lo < hi:
             raise FieldError("root_interval must satisfy lo < hi")

@@ -12,7 +12,6 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import combinations
 
 from .geometry import (HPolytope, Window, _angle_cmp, _centroid, _sgn,
                        eprime_basis, vec_dot, window)
@@ -235,28 +234,54 @@ def r_pattern_at(s: Slope, q, r: int) -> LiftedPattern:
 # window partition by r-patterns
 
 
-def _clip(poly, nu, c, keep_sign):
-    """Clip a convex polygon (ordered vertex list) to nu.x <= c or >= c."""
-    if not poly:
-        return []
-    out = []
-    m = len(poly)
-    vals = [vec_dot(nu, p) - c for p in poly]
-    sides = [_sgn(v) * keep_sign for v in vals]
-    for k in range(m):
-        a, b = poly[k], poly[(k + 1) % m]
-        sa, sb = sides[k], sides[(k + 1) % m]
+def _split(cell, k, c):
+    """The two halves of a convex cell cut by the line nu_k . y = c: the part
+    with nu_k . y <= c, then the part with nu_k . y >= c.
+
+    A cell is an ordered list of (point, values) vertices, `values` holding
+    nu_j . point for every slab normal nu_j of the window.  A crossing point
+    gets its values by interpolation along its edge, and exactly c on the
+    cut's own slab, so no dot product is formed."""
+    m = len(cell)
+    sides = [_sgn(v[k] - c) for _, v in cell]
+    lo_part, hi_part = [], []
+    for i in range(m):
+        a, va = cell[i]
+        sa, sb = sides[i], sides[(i + 1) % m]
+        if sa <= 0:
+            lo_part.append(cell[i])
         if sa >= 0:
-            out.append(a)
+            hi_part.append(cell[i])
         if sa * sb < 0:
-            t = vals[k] / (vals[k] - vals[(k + 1) % m])
-            out.append(tuple(pa + t * (pb - pa) for pa, pb in zip(a, b)))
-    # drop exact duplicates introduced by vertices lying on the cut line
-    dedup = []
-    for p in out:
-        if not any(all(_sgn(x - y) == 0 for x, y in zip(p, q)) for q in dedup):
-            dedup.append(p)
-    return dedup if len(dedup) >= 3 else []
+            b, vb = cell[(i + 1) % m]
+            t = (va[k] - c) / (va[k] - vb[k])
+            p = tuple(pa + t * (pb - pa) for pa, pb in zip(a, b))
+            v = tuple(c if j == k else xa + t * (xb - xa)
+                      for j, (xa, xb) in enumerate(zip(va, vb)))
+            lo_part.append((p, v))
+            hi_part.append((p, v))
+    return _dedup(lo_part), _dedup(hi_part)
+
+
+def _dedup(part):
+    """Drop exact duplicate vertices; fewer than 3 left is no cell."""
+    out = []
+    for vert in part:
+        if all(vert[0] != q for q, _ in out):
+            out.append(vert)
+    return out if len(out) >= 3 else []
+
+
+def _extent(cell, k):
+    """(min, max) of nu_k . y over the cell's vertices."""
+    lo = hi = cell[0][1][k]
+    for _, v in cell[1:]:
+        x = v[k]
+        if _sgn(x - lo) < 0:
+            lo = x
+        elif _sgn(x - hi) > 0:
+            hi = x
+    return lo, hi
 
 
 def _poly_area(poly):
@@ -322,31 +347,52 @@ def enumerate_r_patterns(s: Slope, r: int, samples: int = 200, seed: int = 0) ->
     return _enumerate_sampled(s, r, w, samples, seed)
 
 
-def _enumerate_exact_2d(s: Slope, r: int, w: Window) -> PatternAtlas:
+def _arrangement(s: Slope, r: int, w: Window):
+    """Cells of the window cut by every translated slab boundary line that
+    the walks of an r-pattern can cross, as ordered vertex lists.
+
+    Each cut is a line nu_k . y = c of slab k.  Each cell carries its extent
+    (min, max) of nu_k . y over its vertices for every k.  A cell is convex
+    and nu_k . y is linear, so the values it takes on the cell fill exactly
+    that extent: the cut meets the cell's interior, and so splits it, iff
+    min < c < max, which is the condition "some vertex strictly on each
+    side".  The extents are exact field elements and `_sgn` decides each
+    comparison by `NumberField.sign_of`, whose filter answers only when its
+    enclosure excludes 0; a cut along a cell edge gives c = min or c = max,
+    which its exact path reports as 0, and the cell does not split.  So the
+    test is exact too, and only a cell that splits gets a vertex pass.
+    """
     b = eprime_basis(s)
-    base_poly = _window_polygon(w)
-    cells = [base_poly]
+    nk = len(w.slabs)
+    base = [(p, tuple(vec_dot(nu, p) for nu, _, _ in w.slabs))
+            for p in _window_polygon(w)]
+    cells = [(base, [_extent(base, k) for k in range(nk)])]
     for x in _reachable_offsets(s.n, r + 1):
         shift = b.apply(x)
-        cuts = []
-        for nu, lo, hi in w.slabs:
+        for k, (nu, lo, hi) in enumerate(w.slabs):
             t = vec_dot(nu, shift)
-            cuts.append((nu, lo - t))
-            cuts.append((nu, hi - t))
-        for nu, c in cuts:
-            nxt = []
-            for poly in cells:
-                sides = {_sgn(vec_dot(nu, p) - c) for p in poly}
-                if 1 in sides and -1 in sides:
-                    lo_part = _clip(poly, nu, c, -1)
-                    hi_part = _clip(poly, nu, c, 1)
-                    if lo_part:
-                        nxt.append(lo_part)
-                    if hi_part:
-                        nxt.append(hi_part)
-                else:
-                    nxt.append(poly)
-            cells = nxt
+            for c in (lo - t, hi - t):
+                nxt = []
+                for cell, ext in cells:
+                    cmin, cmax = ext[k]
+                    if _sgn(c - cmin) <= 0 or _sgn(cmax - c) <= 0:
+                        nxt.append((cell, ext))
+                        continue
+                    lo_part, hi_part = _split(cell, k, c)
+                    # the cut's own slab: the halves meet at c
+                    for part, own in ((lo_part, (cmin, c)), (hi_part, (c, cmax))):
+                        if part:
+                            nxt.append((part, [own if j == k else _extent(part, j)
+                                               for j in range(nk)]))
+                cells = nxt
+    return [[p for p, _ in cell] for cell, _ in cells]
+
+
+def _enumerate_exact_2d(s: Slope, r: int, w: Window) -> PatternAtlas:
+    """The cells of `_arrangement`, decided by the exact extent test that
+    its docstring explains, grouped by the r-pattern at their centroids; the
+    areas partition the window."""
+    cells = _arrangement(s, r, w)
     by_pattern = {}
     for poly in cells:
         centroid = _centroid(poly)

@@ -83,6 +83,17 @@ def test_rpatterns_sampled_golden(tmp_path):
         "2a63a7bb9a933214bf8d4127525bcdb868c82a9440734f5b53a8160aad8a227b"
 
 
+@pytest.mark.parametrize("spec, r, digest", [
+    (AB, "1", "8c4066fd33ac5f98f56a56956317776463910b416122fb6e520bfe16830df0ed"),
+    (TYPICAL, "0", "6a609a730c106a07ad372690e36c7b5fb8010e7251bc9c4b743d77cef16cd363"),
+], ids=["ammann_beenker_r1", "typical_r0"])
+def test_rpatterns_exact_golden(tmp_path, spec, r, digest):
+    # the exact 2-D atlas as the vertex-pass side test of every cell against
+    # every cut gave it
+    _, text = _run_json(["rpatterns", spec, "--r", r], tmp_path, "rpatterns")
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_equations(tmp_path):
     doc, _ = _run_json(["equations", TYPICAL], tmp_path, "equations")
     assert len(doc["equations"]) == 8
@@ -158,13 +169,17 @@ def test_exit_code_resource_limit(monkeypatch, capsys):
 GOOD_GENERATORS = "[[1, 0, [0, 1], 1], [0, 1, 1, [0, 1]]]"
 
 
-@pytest.mark.parametrize("minpoly, interval, generators", [
-    ('["-4", 0, 1]', '["1", "3"]', GOOD_GENERATORS),  # reducible minpoly
-    ('["-2", 0, 1]', '["2", "3"]', GOOD_GENERATORS),  # no root in the interval
-    ('["-2", 0, 1]', '["1", "2"]',
-     "[[1, 0, [0, 1], 1], [2, 0, [0, 2], 2]]"),  # dependent generators
+@pytest.mark.parametrize("minpoly, interval, generators, message", [
+    # reducible minpoly, named in the spec's own notation
+    ('["-4", 0, 1]', '["1", "3"]', GOOD_GENERATORS,
+     'minpoly ["-4", "0", "1"] is reducible over Q'),
+    ('["-2", 0, 1]', '["2", "3"]', GOOD_GENERATORS,
+     "no real root in [2, 3]"),  # no root in the interval
+    ('["-2", 0, 1]', '["1", "2"]', "[[1, 0, [0, 1], 1], [2, 0, [0, 2], 2]]",
+     "generators are not linearly independent"),
 ], ids=["reducible", "no_root", "dependent"])
-def test_bad_spec_exits_with_one_line(tmp_path, capsys, minpoly, interval, generators):
+def test_bad_spec_exits_with_one_line(tmp_path, capsys, minpoly, interval, generators,
+                                      message):
     path = tmp_path / "bad.slope"
     path.write_text(f"minpoly = {minpoly}\nroot_interval = {interval}\n"
                     f"n = 4\nd = 2\ngenerators = {generators}\n")
@@ -172,3 +187,28 @@ def test_bad_spec_exits_with_one_line(tmp_path, capsys, minpoly, interval, gener
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert message in err
+
+
+def test_vanishing_normalization_exits_with_one_line(tmp_path, capsys):
+    # G12 = det [[0, 1], [0, sqrt 2]] = 0 at this slope
+    path = tmp_path / "vanishing.slope"
+    path.write_text('minpoly = ["-2", 0, 1]\nroot_interval = ["1", "2"]\n'
+                    "n = 4\nd = 2\n"
+                    "generators = [[0, 0, 1, [0, 1]], [1, [0, 1], 0, 1]]\n"
+                    'normalization = "G12"\n')
+    assert cli.main(["verdict", str(path)]) == cli.EXIT_PARSE
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines() == [
+        "error: normalization coordinate G12 vanishes at the slope"]
+
+
+def test_coincidence_fault_stays_visible(monkeypatch):
+    # a program fault inside verdict is not an input error: it is not
+    # mapped to an exit code
+    def boom(*a, **k):
+        raise charcheck.CharcheckError("coincidence equation fails to vanish")
+    monkeypatch.setattr(charcheck, "verdict", boom)
+    with pytest.raises(charcheck.CharcheckError):
+        cli.main(["verdict", TYPICAL])

@@ -5,7 +5,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from slopechar.geometry import BOUNDARY, INSIDE, OUTSIDE, eprime_basis, window
+from slopechar import patterns
+from slopechar.geometry import (BOUNDARY, INSIDE, OUTSIDE, _sgn, eprime_basis,
+                                vec_dot, window)
 from slopechar.linalg import Matrix, rank
 from slopechar.patterns import (LiftedPattern, NotFoldable, SingularPoint,
                                 cyclic_rotation_group, edge_between,
@@ -14,6 +16,7 @@ from slopechar.patterns import (LiftedPattern, NotFoldable, SingularPoint,
                                 pattern_region, r_pattern_at, region_json,
                                 rotation_classes, transform_pattern,
                                 vertex_star)
+from slopechar.numfield import NumberField
 from slopechar.tiling import LatticeMembership, digitize, draw_offset
 
 
@@ -160,6 +163,86 @@ def test_atlas_exact_and_partition(ab):
         assert p.canonical().encode() in patterns
         # region of the point's own pattern contains it
         assert pattern_region(ab, p).contains(q) != OUTSIDE
+
+
+def _clip_by_vertex_pass(poly, nu, c, keep_sign):
+    """Clip a convex polygon to nu.x <= c or >= c, every value a fresh dot
+    product."""
+    out = []
+    m = len(poly)
+    vals = [vec_dot(nu, p) - c for p in poly]
+    sides = [_sgn(v) * keep_sign for v in vals]
+    for k in range(m):
+        a, b = poly[k], poly[(k + 1) % m]
+        sa, sb = sides[k], sides[(k + 1) % m]
+        if sa >= 0:
+            out.append(a)
+        if sa * sb < 0:
+            t = vals[k] / (vals[k] - vals[(k + 1) % m])
+            out.append(tuple(pa + t * (pb - pa) for pa, pb in zip(a, b)))
+    dedup = []
+    for p in out:
+        if not any(all(_sgn(x - y) == 0 for x, y in zip(p, q)) for q in dedup):
+            dedup.append(p)
+    return dedup if len(dedup) >= 3 else []
+
+
+def _arrangement_by_vertex_pass(s, r):
+    """Reference arrangement: every cell is tested against every cut by the
+    side of each of its vertices."""
+    w, b = window(s), eprime_basis(s)
+    cells = [patterns._window_polygon(w)]
+    for x in patterns._reachable_offsets(s.n, r + 1):
+        shift = b.apply(x)
+        for nu, lo, hi in w.slabs:
+            t = vec_dot(nu, shift)
+            for c in (lo - t, hi - t):
+                nxt = []
+                for poly in cells:
+                    sides = {_sgn(vec_dot(nu, p) - c) for p in poly}
+                    if 1 in sides and -1 in sides:
+                        nxt += [part for part in (_clip_by_vertex_pass(poly, nu, c, -1),
+                                                  _clip_by_vertex_pass(poly, nu, c, 1))
+                                if part]
+                    else:
+                        nxt.append(poly)
+                cells = nxt
+    return cells
+
+
+@pytest.mark.parametrize("name, r", [("ab", 1), ("typical", 0)])
+def test_arrangement_matches_vertex_pass(request, name, r):
+    # the extent test splits the same cells, into the same vertices, in the
+    # same order, as the side test of every vertex
+    s = request.getfixturevalue(name)
+    cells = patterns._arrangement(s, r, window(s))
+    assert cells == _arrangement_by_vertex_pass(s, r)
+    assert len(cells) > 100
+
+
+def test_arrangement_runs_the_exact_sign_path(ab, monkeypatch):
+    # cuts along existing cell edges make extent and side comparisons exactly
+    # 0; the filter of sign_of never returns 0, only its exact path does
+    inside, zeros = [], []
+    sgn, sign_of = patterns._sgn, NumberField.sign_of
+
+    def counting_sgn(x):
+        inside.append(True)
+        try:
+            return sgn(x)
+        finally:
+            inside.pop()
+
+    def counting_sign_of(self, coeffs):
+        out = sign_of(self, coeffs)
+        if inside and out == 0:
+            zeros.append(coeffs)
+        return out
+
+    monkeypatch.setattr(patterns, "_sgn", counting_sgn)
+    monkeypatch.setattr(NumberField, "sign_of", counting_sign_of)
+    patterns._arrangement(ab, 1, window(ab))
+    assert zeros
 
 
 def test_sampled_atlas_takes_every_sample(penrose):
