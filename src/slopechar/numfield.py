@@ -7,10 +7,12 @@ canonical residue mod the minimal polynomial, so equality is coefficientwise.
 Signs are decided exactly, by `NumberField.sign_of` on a coefficient vector.
 A certified fixed-point filter comes first: each field keeps integer bounds
 L_i <= 2^FILTER_BITS * alpha^i <= U_i, and a vector whose enclosure
-sum c_i [L_i, U_i] excludes 0 gets the sign of that enclosure with integer
-arithmetic only.  Only when the enclosure contains 0 does the exact path run:
-symbolically for the zero element, by a closed comparison for elements linear
-in alpha, and by interval refinement otherwise.
+sum c_i [L_i, U_i] (`NumberField.enclosure`) excludes 0 gets the sign of that
+enclosure with integer arithmetic only.  Only when the enclosure contains 0
+does the exact path run: symbolically for the zero element, by a closed
+comparison for elements linear in alpha, and by interval refinement otherwise.
+Two values whose enclosures are disjoint are ordered by their enclosures
+alone, which is how the atlas arrangement compares slab values.
 """
 
 from __future__ import annotations
@@ -337,11 +339,13 @@ class NumberField:
             else:
                 hi = mid
 
-    def sign_of(self, coeffs) -> int:
-        """Sign of sum coeffs[i] * alpha^i under the real embedding.
+    def enclosure(self, coeffs) -> tuple[int, int]:
+        """Integers (lo, hi) with lo <= 2^FILTER_BITS * x <= hi for
+        x = sum coeffs[i] * alpha^i, from the fixed-point bounds on alpha^i.
 
-        `coeffs` holds at most `degree` ints or Fractions.  The fixed-point
-        enclosure decides unless it contains 0; then the exact path does."""
+        `coeffs` holds at most `degree` ints or Fractions.  This is the
+        filter of `sign_of`; callers that compare many values keep each
+        value's enclosure and compare enclosures."""
         bounds = self._filter or self._filter_bounds()
         lo = hi = 0
         for c, (l, u) in zip(coeffs, bounds):
@@ -357,6 +361,14 @@ class NumberField:
                 num, den = c.numerator, c.denominator
                 lo += num * l // den
                 hi -= -num * u // den
+        return lo, hi
+
+    def sign_of(self, coeffs) -> int:
+        """Sign of sum coeffs[i] * alpha^i under the real embedding.
+
+        `coeffs` holds at most `degree` ints or Fractions.  The fixed-point
+        enclosure decides unless it contains 0; then the exact path does."""
+        lo, hi = self.enclosure(coeffs)
         if lo > 0:
             return 1
         if hi < 0:
@@ -492,11 +504,18 @@ class FieldElem:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self * o.inverse()
+        if not o.is_rational():
+            return self * o.inverse()
+        # a rational divisor scales the coefficients: no extended Euclid
+        if o.is_zero():
+            raise DivisionByZero("division by zero")
+        return self._scaled(1 / o.coeffs[0])
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
-        return o * self.inverse()
+        if o is None:
+            return NotImplemented
+        return o / self
 
     def __pow__(self, e: int):
         if e < 0:

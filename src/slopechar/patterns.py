@@ -234,16 +234,38 @@ def r_pattern_at(s: Slope, q, r: int) -> LiftedPattern:
 # window partition by r-patterns
 
 
+def _enclosed(x):
+    """A slab value with its fixed-point enclosure: (x, lo, hi), where
+    lo <= 2^FILTER_BITS * x <= hi (`NumberField.enclosure`)."""
+    return (x, *x.field.enclosure(x.coeffs))
+
+
+def _cmp(a, b):
+    """Sign of a - b for two enclosed slab values: 0 for the same value
+    object, the order of the enclosures when they are disjoint, and
+    otherwise the exact sign of the difference."""
+    if a is b:
+        return 0
+    if a[2] < b[1]:
+        return -1
+    if a[1] > b[2]:
+        return 1
+    return _sgn(a[0] - b[0])
+
+
 def _split(cell, k, c):
     """The two halves of a convex cell cut by the line nu_k . y = c: the part
     with nu_k . y <= c, then the part with nu_k . y >= c.
 
     A cell is an ordered list of (point, values) vertices, `values` holding
-    nu_j . point for every slab normal nu_j of the window.  A crossing point
-    gets its values by interpolation along its edge, and exactly c on the
-    cut's own slab, so no dot product is formed."""
+    nu_j . point, enclosed, for every slab normal nu_j of the window.  A
+    crossing point gets its values by interpolation along its edge, and
+    exactly c on the cut's own slab, so no dot product is formed.  The
+    halves hold distinct vertices of the cell and crossing points strictly
+    inside distinct edges, and the cut meets the cell's interior, so each
+    half has at least 3 distinct vertices."""
     m = len(cell)
-    sides = [_sgn(v[k] - c) for _, v in cell]
+    sides = [_cmp(v[k], c) for _, v in cell]
     lo_part, hi_part = [], []
     for i in range(m):
         a, va = cell[i]
@@ -254,32 +276,24 @@ def _split(cell, k, c):
             hi_part.append(cell[i])
         if sa * sb < 0:
             b, vb = cell[(i + 1) % m]
-            t = (va[k] - c) / (va[k] - vb[k])
+            ak = va[k][0]
+            t = (ak - c[0]) / (ak - vb[k][0])
             p = tuple(pa + t * (pb - pa) for pa, pb in zip(a, b))
-            v = tuple(c if j == k else xa + t * (xb - xa)
+            v = tuple(c if j == k else _enclosed(xa[0] + t * (xb[0] - xa[0]))
                       for j, (xa, xb) in enumerate(zip(va, vb)))
             lo_part.append((p, v))
             hi_part.append((p, v))
-    return _dedup(lo_part), _dedup(hi_part)
-
-
-def _dedup(part):
-    """Drop exact duplicate vertices; fewer than 3 left is no cell."""
-    out = []
-    for vert in part:
-        if all(vert[0] != q for q, _ in out):
-            out.append(vert)
-    return out if len(out) >= 3 else []
+    return lo_part, hi_part
 
 
 def _extent(cell, k):
-    """(min, max) of nu_k . y over the cell's vertices."""
+    """(min, max) of nu_k . y over the cell's vertices, as enclosed values."""
     lo = hi = cell[0][1][k]
     for _, v in cell[1:]:
         x = v[k]
-        if _sgn(x - lo) < 0:
+        if _cmp(x, lo) < 0:
             lo = x
-        elif _sgn(x - hi) > 0:
+        elif _cmp(x, hi) > 0:
             hi = x
     return lo, hi
 
@@ -340,6 +354,8 @@ def enumerate_r_patterns(s: Slope, r: int, samples: int = 200, seed: int = 0) ->
     the window.  For a 3-dimensional window, patterns are discovered by
     randomized sampling and the result is a lower bound (complete=False).
     """
+    if r < 0:
+        raise ValueError(f"r must be >= 0, got {r}")
     m = s.n - s.d
     w = window(s)
     if m == 2:
@@ -356,15 +372,22 @@ def _arrangement(s: Slope, r: int, w: Window):
     and nu_k . y is linear, so the values it takes on the cell fill exactly
     that extent: the cut meets the cell's interior, and so splits it, iff
     min < c < max, which is the condition "some vertex strictly on each
-    side".  The extents are exact field elements and `_sgn` decides each
-    comparison by `NumberField.sign_of`, whose filter answers only when its
-    enclosure excludes 0; a cut along a cell edge gives c = min or c = max,
-    which its exact path reports as 0, and the cell does not split.  So the
-    test is exact too, and only a cell that splits gets a vertex pass.
+    side".  Only a cell that splits gets a vertex pass.
+
+    The slab values (window vertices' nu_k . p, interpolated crossing
+    values, cut offsets c) are exact field elements, each created once with
+    its integer enclosure [lo, hi] of 2^FILTER_BITS times the value, and
+    `_cmp` compares two of them.  The filter is exact: both enclosures are
+    certified, so hi_a < lo_b proves a < b and lo_a > hi_b proves a > b.
+    Every other pair, which includes every pair of equal values, goes to
+    `_sgn` of the exact difference, that is to `NumberField.sign_of`, whose
+    exact path reports equal values as 0; a cut along a cell edge gives
+    c = min or c = max, and the cell does not split.  So the test gives the
+    cells that exact comparisons alone give.
     """
     b = eprime_basis(s)
     nk = len(w.slabs)
-    base = [(p, tuple(vec_dot(nu, p) for nu, _, _ in w.slabs))
+    base = [(p, tuple(_enclosed(vec_dot(nu, p)) for nu, _, _ in w.slabs))
             for p in _window_polygon(w)]
     cells = [(base, [_extent(base, k) for k in range(nk)])]
     for x in _reachable_offsets(s.n, r + 1):
@@ -372,18 +395,18 @@ def _arrangement(s: Slope, r: int, w: Window):
         for k, (nu, lo, hi) in enumerate(w.slabs):
             t = vec_dot(nu, shift)
             for c in (lo - t, hi - t):
+                c = _enclosed(c)
                 nxt = []
                 for cell, ext in cells:
                     cmin, cmax = ext[k]
-                    if _sgn(c - cmin) <= 0 or _sgn(cmax - c) <= 0:
+                    if _cmp(c, cmin) <= 0 or _cmp(cmax, c) <= 0:
                         nxt.append((cell, ext))
                         continue
                     lo_part, hi_part = _split(cell, k, c)
                     # the cut's own slab: the halves meet at c
                     for part, own in ((lo_part, (cmin, c)), (hi_part, (c, cmax))):
-                        if part:
-                            nxt.append((part, [own if j == k else _extent(part, j)
-                                               for j in range(nk)]))
+                        nxt.append((part, [own if j == k else _extent(part, j)
+                                           for j in range(nk)]))
                 cells = nxt
     return [[p for p, _ in cell] for cell, _ in cells]
 

@@ -212,6 +212,8 @@ def integral_sum_offset(s: Slope, jitter=None):
 
 def digitize(s: Slope, offset=None, radius=Fraction(10), seed=0) -> Patch:
     """Patch of all faces in-window whose projection meets the radius ball."""
+    if radius < 0:
+        raise ValueError(f"radius must be >= 0, got {radius}")
     attempts = 8 if offset is None else 1
     last = None
     for attempt in range(attempts):

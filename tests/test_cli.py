@@ -212,3 +212,18 @@ def test_coincidence_fault_stays_visible(monkeypatch):
     monkeypatch.setattr(charcheck, "verdict", boom)
     with pytest.raises(charcheck.CharcheckError):
         cli.main(["verdict", TYPICAL])
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["digitize", AB, "--radius", "-3"], "error: radius must be >= 0, got -3"),
+    (["rpatterns", AB, "--r", "-1"], "error: r must be >= 0, got -1"),
+], ids=["negative_radius", "negative_r"])
+def test_negative_size_exits_with_one_line(tmp_path, capsys, argv, message):
+    # a negative radius squared, or an empty set of walks, would pass as a
+    # one-face patch or a one-pattern atlas
+    out = tmp_path / "out.json"
+    assert cli.main(argv + ["--json", str(out)]) == cli.EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [message]
+    assert not captured.out
+    assert not out.exists()

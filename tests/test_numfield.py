@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -229,3 +230,89 @@ def test_rational_factor_matches_general_product(cx, q):
         assert all(type(c) is F for c in prod.coeffs)
     if q.denominator == 1:
         assert (x * int(q)).coeffs == general
+
+
+# -- the shared enclosure -----------------------------------------------------
+
+MP_DIGITS = 60
+
+
+def _mp_alpha(name):
+    """alpha to MP_DIGITS digits: the root of the minpoly in its interval."""
+    f = FIELDS[name]()
+    lo, hi = (mpmath.mpf(x.numerator) / x.denominator for x in f.root_interval)
+    with mpmath.workdps(MP_DIGITS + 10):
+        roots = mpmath.polyroots([mpmath.mpf(c.numerator) / c.denominator
+                                  for c in reversed(f.minpoly)], extraprec=200)
+        real = [x.real for x in roots if abs(x.imag) < mpmath.mpf(10) ** -MP_DIGITS]
+        return next(x for x in real if lo <= x <= hi)
+
+
+MP_ALPHA = {name: _mp_alpha(name) for name in FIELDS}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_elements())
+def test_enclosure_contains_the_scaled_value(elem):
+    name, coeffs = elem
+    f = FIELDS[name]()
+    lo, hi = f.enclosure(coeffs)
+    assert type(lo) is int and type(hi) is int and lo <= hi
+    with mpmath.workdps(MP_DIGITS):
+        alpha = MP_ALPHA[name]
+        terms = [mpmath.mpf(c.numerator) / c.denominator * alpha ** i
+                 for i, c in enumerate(coeffs)]
+        scaled = mpmath.fsum(terms) * 2 ** numfield.FILTER_BITS
+        # rounding of the 60-digit evaluation, relative to its largest term
+        slack = (sum(abs(t) for t in terms) * 2 ** numfield.FILTER_BITS
+                 * mpmath.mpf(10) ** (10 - MP_DIGITS))
+        assert lo - slack <= scaled <= hi + slack
+    # an enclosure that excludes 0 gives the sign that refinement gives
+    if lo > 0 or hi < 0:
+        assert (1 if lo > 0 else -1) == _reference_sign(name, coeffs)
+
+
+def test_sign_of_is_the_sign_of_its_enclosure(monkeypatch):
+    # sign_of's filter is the enclosure: swapping in a wider enclosure makes
+    # every sign take the exact path, with the same results
+    rng = random.Random(11)
+    for name, make in FIELDS.items():
+        f = make()
+        cases = [tuple(F(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 3))
+                       for _ in range(f.degree)) for _ in range(200)]
+        filtered = [f.sign_of(c) for c in cases]
+        monkeypatch.setattr(f, "enclosure", lambda coeffs: (-1, 1))
+        assert [f.sign_of(c) for c in cases] == filtered
+        assert filtered == [_reference_sign(name, c) for c in cases]
+        monkeypatch.undo()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(small_rats, min_size=3, max_size=3),
+       small_rats.filter(lambda q: q != 0))
+def test_rational_divisor_matches_inverse_product(cx, q):
+    f = cubic()
+    x = f.elem(cx)
+    general = x * f.from_rational(q).inverse()
+    for quot in (x / q, x / f.from_rational(q)):
+        assert quot.coeffs == general.coeffs
+        assert all(type(c) is F for c in quot.coeffs)
+    if not x.is_zero():
+        assert (q / x).coeffs == (f.from_rational(q) * x.inverse()).coeffs
+    if q.denominator == 1:
+        assert (x / int(q)).coeffs == general.coeffs
+
+
+def test_rational_divisor_takes_no_inverse(monkeypatch):
+    f = cubic()
+    monkeypatch.setattr(FieldElem, "inverse", lambda self: pytest.fail("inverse"))
+    x = f.elem([1, F(2, 3), -5])
+    assert (x / 4 * 4) == x
+    assert (x / F(-3, 7)) == x * F(-7, 3)
+    assert (1 / f.from_rational(F(2, 5))) == f.from_rational(F(5, 2))
+    assert (x / f.from_rational(-2)) == x * F(-1, 2)
+    for zero in (0, F(0), f.zero):
+        with pytest.raises(numfield.DivisionByZero):
+            x / zero
+    with pytest.raises(numfield.DivisionByZero):
+        1 / f.zero

@@ -245,6 +245,72 @@ def test_arrangement_runs_the_exact_sign_path(ab, monkeypatch):
     assert zeros
 
 
+@pytest.mark.parametrize("name, r", [("ab", 0), ("ab", 1), ("typical", 0)])
+def test_split_halves_are_cells(request, monkeypatch, name, r):
+    # a split never yields an empty half or a repeated vertex: each half has
+    # at least 3 vertices, all distinct
+    s = request.getfixturevalue(name)
+    halves = []
+    split = patterns._split
+
+    def recording_split(cell, k, c):
+        out = split(cell, k, c)
+        halves.extend(out)
+        return out
+
+    monkeypatch.setattr(patterns, "_split", recording_split)
+    patterns._arrangement(s, r, window(s))
+    assert halves
+    for part in halves:
+        points = [tuple(x.coeffs for x in p) for p, _ in part]
+        assert len(points) >= 3
+        assert len(set(points)) == len(points)
+
+
+@pytest.mark.parametrize("name", ["ab", "typical"])
+def test_enclosure_comparisons_match_exact_signs(request, monkeypatch, name):
+    # every comparison of the arrangement, filtered or not, is the exact
+    # sign of the difference, and most are decided by the enclosures alone
+    s = request.getfixturevalue(name)
+    calls, exact = [], []
+    cmp, sgn = patterns._cmp, patterns._sgn
+
+    def checking_cmp(a, b):
+        out = cmp(a, b)
+        assert out == sgn(a[0] - b[0])
+        calls.append(out)
+        return out
+
+    monkeypatch.setattr(patterns, "_cmp", checking_cmp)
+    monkeypatch.setattr(patterns, "_sgn", lambda x: exact.append(x) or sgn(x))
+    patterns._arrangement(s, 0, window(s))
+    assert set(calls) == {-1, 0, 1}
+    assert len(exact) < len(calls) / 4
+
+
+def test_cmp_decides_overlapping_enclosures_exactly(monkeypatch):
+    # convergents p/q of sqrt 2 closer than 2^-96: their enclosures overlap
+    # alpha's, so only the exact path can order them, on either side
+    f = NumberField([-2, 0, 1], (F(1), F(2)))
+    exact = []
+    monkeypatch.setattr(patterns, "_sgn", lambda x: exact.append(x) or _sgn(x))
+    alpha = patterns._enclosed(f.alpha)
+    p, q = 1, 1
+    while q < 10 ** 16:
+        p, q = p + 2 * q, p + q
+    sides = set()
+    for p, q in ((p, q), (p + 2 * q, p + q)):
+        conv = patterns._enclosed(f.from_rational(F(p, q)))
+        assert conv[1] <= alpha[2] and alpha[1] <= conv[2]
+        side = 1 if 2 * q * q > p * p else -1  # sqrt 2 > p/q
+        assert patterns._cmp(alpha, conv) == side
+        assert patterns._cmp(conv, alpha) == -side
+        sides.add(side)
+    assert sides == {-1, 1}
+    assert patterns._cmp(alpha, alpha) == 0
+    assert len(exact) == 4
+
+
 def test_sampled_atlas_takes_every_sample(penrose):
     # every sample point that gives a pattern counts, up to `samples`
     atlas = enumerate_r_patterns(penrose, 0, samples=4, seed=3)
