@@ -15,10 +15,11 @@ from fractions import Fraction
 
 from .coincidence import (Degenerate, InconsistentSystem, all_equations,
                           grassmann_variables, minimize_r, realize)
-from .numfield import count_real_roots, poly_eval, poly_trim
+from .numfield import count_real_roots, poly_eval, poly_trim, rat_str
 from .polyring import (Poly, grevlex_key, monomial_div, monomial_divides,
                        monomial_lcm)
-from .slope import Slope, grassmann, is_generic, plucker_relation_index_pairs
+from .slope import (Slope, _perm_sign, grassmann, is_generic,
+                    plucker_relation_index_pairs)
 
 DEGREE_CAP = 12
 BASIS_CAP = 10000
@@ -62,14 +63,7 @@ def _coord_term(tuples_index, idx):
     srt = tuple(sorted(idx))
     if len(set(srt)) != len(srt):
         return 0, None
-    sign = 1
-    lst = list(idx)
-    for i in range(len(lst)):
-        for j in range(len(lst) - 1 - i):
-            if lst[j] > lst[j + 1]:
-                lst[j], lst[j + 1] = lst[j + 1], lst[j]
-                sign = -sign
-    return sign, tuples_index[srt]
+    return _perm_sign(idx, srt), tuples_index[srt]
 
 
 def plucker_polys(n, d):
@@ -397,7 +391,7 @@ def minimal_polynomial_of(var, gb, nvars, cap=8):
     return None
 
 
-def _root_sign(coeffs, interval):
+def _root_sign(interval):
     lo, hi = interval
     if lo > 0:
         return 1
@@ -570,10 +564,8 @@ def verdict(s: Slope, normalize_at=None,
             # a zero root means the coordinate vanishes, excluded whenever the
             # slope's own coordinate does not: strip it via the sign filter
             achievable = scaled[var].sign()
-            stripped = 0
             while achievable != 0 and len(coeffs) > 1 and coeffs[0] == 0:
                 coeffs = coeffs[1:]
-                stripped += 1
             if len(coeffs) <= 2:
                 continue
             mono = [0] * nvars
@@ -581,7 +573,7 @@ def verdict(s: Slope, normalize_at=None,
                                 for k, c in enumerate(coeffs)})
             roots = []
             for iv in isolate_real_roots(coeffs):
-                sign = _root_sign(coeffs, iv)
+                sign = _root_sign(iv)
                 roots.append({
                     "interval": iv,
                     "sign": sign,
@@ -591,7 +583,6 @@ def verdict(s: Slope, normalize_at=None,
                 "variable": names[var],
                 "polynomial": poly.content_normalized(),
                 "achievable_sign": achievable,
-                "zero_roots_rejected": stripped,
                 "roots": roots,
             })
         timings["total"] = time.monotonic() - t0
@@ -638,15 +629,10 @@ def verdict(s: Slope, normalize_at=None,
 # JSON
 
 
-def _frac_str(x):
-    f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
-
-
 def poly_json(p: Poly, names):
     return {
         "pretty": p.pretty(names),
-        "terms": [{"monomial": list(m), "coefficient": _frac_str(c)}
+        "terms": [{"monomial": list(m), "coefficient": rat_str(c)}
                   for m, c in sorted(p.terms.items(),
                                      key=lambda kv: grevlex_key(kv[0]), reverse=True)],
     }
@@ -670,7 +656,7 @@ def verdict_json(v: Verdict):
             "free_variables": list(v.witness.get("free_variables", ())),
             "family": [poly_json(p, names) for p in v.witness.get("family", ())],
             "comparison_point": (
-                {k: _frac_str(x) for k, x in v.witness["comparison_point"].items()}
+                {k: rat_str(x) for k, x in v.witness["comparison_point"].items()}
                 if v.witness.get("comparison_point") else None),
         }
     if v.status == "NonGenericInput":
@@ -681,7 +667,7 @@ def verdict_json(v: Verdict):
             "polynomial": poly_json(c["polynomial"], names),
             "achievable_sign": c["achievable_sign"],
             "roots": [{
-                "interval": [_frac_str(c2) for c2 in r["interval"]],
+                "interval": [rat_str(c2) for c2 in r["interval"]],
                 "sign": r["sign"],
                 "accepted": r["accepted"],
             } for r in c["roots"]],

@@ -2,8 +2,9 @@
 
 Subcommands: info, digitize, coincidences, equations, verdict, regions,
 rpatterns.  All take a slope-spec file; outputs are deterministic given the
-spec and seed.  Exit codes: 1 bad input (a parse error, an invalid spec or
-a vanishing normalization coordinate), 2 resource limit, 3 singular offset.
+spec and seed.  Exit codes: 1 bad input (a parse error, an invalid spec, a
+vanishing normalization coordinate, an out-of-range argument or a pattern
+file that does not fit the slope), 2 resource limit, 3 singular offset.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 
 from . import charcheck, coincidence, patterns, specfile, tiling
 from .charcheck import ResourceLimit, VanishingNormalization
-from .numfield import FieldElem
+from .numfield import FieldElem, rat_str
 from .slope import grassmann, is_generic, plucker_residuals
 from .specfile import SpecError
 from .tiling import SingularOffset
@@ -27,16 +28,11 @@ EXIT_SINGULAR = 3
 APPROX_DIGITS = 6
 
 
-def _rat_str(x) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def _elem_json(e):
     if isinstance(e, FieldElem):
-        return {"coeffs": [_rat_str(c) for c in e.coeffs],
+        return {"coeffs": [rat_str(c) for c in e.coeffs],
                 "approx": e.approx(APPROX_DIGITS)}
-    return {"coeffs": [_rat_str(e)], "approx": f"{float(Fraction(e)):.{APPROX_DIGITS}f}"}
+    return {"coeffs": [rat_str(e)], "approx": f"{float(Fraction(e)):.{APPROX_DIGITS}f}"}
 
 
 def _load(path):
@@ -60,7 +56,7 @@ def cmd_info(args):
     doc = {
         "n": s.n,
         "d": s.d,
-        "minpoly": [_rat_str(c) for c in s.field.minpoly],
+        "minpoly": [rat_str(c) for c in s.field.minpoly],
         "alpha": s.field.alpha.approx(APPROX_DIGITS),
         "grassmann": {
             "G" + "".join(str(i) for i in t): _elem_json(g[t]) for t in g.tuples()},
@@ -77,7 +73,11 @@ def cmd_digitize(args):
     spec, s = _load(args.spec)
     seed = args.seed if args.seed is not None else spec.seed
     offset = specfile.spec_offset(spec, s)
-    patch = tiling.digitize(s, offset=offset, radius=Fraction(args.radius), seed=seed)
+    try:
+        radius = Fraction(args.radius)
+    except ZeroDivisionError:
+        raise ValueError(f"radius {args.radius} has a zero denominator") from None
+    patch = tiling.digitize(s, offset=offset, radius=radius, seed=seed)
     if args.json:
         with open(args.json, "w") as fh:
             fh.write(tiling.patch_json(patch) + "\n")
@@ -145,16 +145,32 @@ def cmd_verdict(args):
     return 0
 
 
-def _pattern_from_json(doc):
-    edges = [(tuple(e["vertex"]), e["direction"]) for e in doc["edges"]]
-    vertices = [tuple(v) for v in doc.get("vertices", [])]
-    return patterns.LiftedPattern(edges, vertices)
+def _pattern_from_json(doc, n):
+    """The pattern of a `pattern_json` document, with every vertex in Z^n and
+    every edge direction in 1..n; ValueError otherwise."""
+    def point(v):
+        if not (isinstance(v, list) and len(v) == n
+                and all(type(c) is int for c in v)):
+            raise ValueError(f"pattern: vertex {v!r} needs {n} integer coordinates")
+        return tuple(v)
+
+    def direction(i):
+        if type(i) is not int or not 1 <= i <= n:
+            raise ValueError(f"pattern: edge direction {i!r} is not in 1..{n}")
+        return i
+
+    try:
+        edges = [(point(e["vertex"]), direction(e["direction"])) for e in doc["edges"]]
+        vertices = [point(v) for v in doc.get("vertices", [])]
+        return patterns.LiftedPattern(edges, vertices)
+    except (KeyError, TypeError, AttributeError, patterns.PatternError) as exc:
+        raise ValueError(f"pattern: not a pattern document ({exc!r})") from None
 
 
 def cmd_regions(args):
     spec, s = _load(args.spec)
     with open(args.pattern) as fh:
-        pat = _pattern_from_json(json.load(fh))
+        pat = _pattern_from_json(json.load(fh), s.n)
     reg = patterns.pattern_region(s, pat)
     text = patterns.region_json(reg)
     if args.out:

@@ -228,33 +228,14 @@ def realize(s: Slope, t: CoincidenceType, v):
             else:
                 pt.append(rvals[ridx[(i, j)]])
         points.append(tuple(pt))
-    if any(_points_equal(s, points[i], points[j])
+    # pairwise ==, not a set: an int and the equal FieldElem hash differently
+    if any(points[i] == points[j]
            for i in range(len(points)) for j in range(i + 1, len(points))):
         return Degenerate(tuple(points))
-    projs = [_apply_mixed(b, s.field, pt) for pt in points]
-    for q in projs[1:]:
-        if any((x - y).sign() != 0 for x, y in zip(projs[0], q)):
-            raise CoincidenceError("realized points do not project together")
+    projs = [b.apply(pt) for pt in points]
+    if any(q != projs[0] for q in projs[1:]):
+        raise CoincidenceError("realized points do not project together")
     return Coincidence(t, tuple(points), projs[0], tuple(v))
-
-
-def _apply_mixed(b, field, pt):
-    elems = [field.from_rational(Fraction(e)) if not isinstance(e, FieldElem) else e
-             for e in pt]
-    acc = [field.zero] * b.nrows
-    for j, e in enumerate(elems):
-        for i in range(b.nrows):
-            acc[i] = acc[i] + b[i, j] * e
-    return tuple(acc)
-
-
-def _points_equal(s, p1, p2):
-    for x, y in zip(p1, p2):
-        fx = x if isinstance(x, FieldElem) else s.field.from_rational(Fraction(x))
-        fy = y if isinstance(y, FieldElem) else s.field.from_rational(Fraction(y))
-        if (fx - fy).sign() != 0:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -461,5 +442,5 @@ def minimize_r(s: Slope, c: Coincidence):
     for (i, j), k in aidx.items():
         newv[k] = c.vector[k] + tvec[j - 1]
     b = eprime_basis(s)
-    wp = _apply_mixed(b, s.field, pts[0])
+    wp = b.apply(pts[0])
     return Coincidence(c.type, pts, wp, tuple(newv)), r

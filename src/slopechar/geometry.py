@@ -2,7 +2,8 @@
 vertex-level work; H-form predicates work in any dimension).
 
 All coordinates live in a fixed exact basis of E' obtained by row-reducing
-the projector pi', so every predicate is a sign computation in Q(alpha).
+the projector pi', so every predicate is a sign computation in Q(alpha); a
+zero test compares coefficients.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .linalg import Matrix, det, inverse, rref, solve_right
+from .linalg import Matrix, _is_zero, det, dot, inverse, rref, solve_right
 from .slope import Slope, projectors
 
 
@@ -43,15 +44,6 @@ def eprime_basis(s: Slope) -> Matrix:
     return b
 
 
-def vec_dot(u, v):
-    it = iter(zip(u, v))
-    a, b = next(it)
-    acc = a * b
-    for a, b in it:
-        acc = acc + a * b
-    return acc
-
-
 def cross_normal(vectors, m, one):
     """Generalized cross product: vector orthogonal to m-1 vectors in R^m."""
     zero = one - one
@@ -63,7 +55,7 @@ def cross_normal(vectors, m, one):
         sub = Matrix(tuple(r[:j] + r[j + 1:]) for r in rows)
         minor = det(sub) if sub.nrows else one
         normal.append(minor if j % 2 == 0 else -minor)
-    if all(_sgn(c) == 0 for c in normal):
+    if all(_is_zero(c) for c in normal):
         return None
     return tuple(normal)
 
@@ -76,7 +68,7 @@ def _sgn(x):
 
 def _canonical_direction(normal):
     """Scale so the first nonzero entry is +1 (dedupes parallel normals)."""
-    lead = next(c for c in normal if _sgn(c) != 0)
+    lead = next(c for c in normal if not _is_zero(c))
     return tuple(c / lead for c in normal)
 
 
@@ -97,7 +89,7 @@ class Window:
         one = _unit_of(self.base, self.generators)
         directions = []
         seen = set()
-        nontrivial = [g for g in self.generators if any(_sgn(c) != 0 for c in g)]
+        nontrivial = [g for g in self.generators if not all(_is_zero(c) for c in g)]
         for sub in combinations(nontrivial, self.dim - 1):
             normal = cross_normal(sub, self.dim, one)
             if normal is None:
@@ -110,9 +102,9 @@ class Window:
             directions.append(cd)
         slabs = []
         for nu in directions:
-            lo = hi = vec_dot(nu, self.base)
+            lo = hi = dot(nu, self.base)
             for g in self.generators:
-                t = vec_dot(nu, g)
+                t = dot(nu, g)
                 sg = _sgn(t)
                 if sg > 0:
                     hi = hi + t
@@ -140,7 +132,7 @@ class Window:
     def contains(self, p) -> str:
         on_boundary = False
         for nu, lo, hi in self.slabs:
-            v = vec_dot(nu, p)
+            v = dot(nu, p)
             s1 = _sgn(v - lo)
             s2 = _sgn(hi - v)
             if s1 < 0 or s2 < 0:
@@ -174,7 +166,7 @@ class Window:
 def _unit_of(base, generators):
     for v in [base] + list(generators):
         for c in v:
-            if _sgn(c) != 0:
+            if not _is_zero(c):
                 return c / c
     return Fraction(1)
 
@@ -205,7 +197,7 @@ class HPolytope:
     def contains(self, p) -> str:
         on_boundary = False
         for nu, c in self.halfspaces:
-            s = _sgn(c - vec_dot(nu, p))
+            s = _sgn(c - dot(nu, p))
             if s < 0:
                 return OUTSIDE
             if s == 0:
@@ -216,15 +208,14 @@ class HPolytope:
         best = {}
         order = []
         for nu, c in self.halfspaces:
-            if all(_sgn(x) == 0 for x in nu):
+            if all(_is_zero(x) for x in nu):
                 continue  # trivial or infeasible handled by contains of others
-            lead = next(x for x in nu if _sgn(x) != 0)
+            lead = next(x for x in nu if not _is_zero(x))
             scale = lead if _sgn(lead) > 0 else -lead
             key_n = tuple(getattr(x, "coeffs", x) for x in (y / scale for y in nu))
             cc = c / scale
             if key_n in best:
-                nu0, c0 = best[key_n]
-                if _sgn(c0 - cc) > 0:
+                if _sgn(best[key_n][1] - cc) > 0:
                     best[key_n] = (tuple(y / scale for y in nu), cc)
             else:
                 best[key_n] = (tuple(y / scale for y in nu), cc)
@@ -243,14 +234,14 @@ class HPolytope:
         seen = set()
         for sub in combinations(range(len(hs)), m):
             a = Matrix(hs[i][0] for i in sub)
-            if _sgn(det(a)) == 0:
+            if _is_zero(det(a)):
                 continue
             p = solve_right(a, tuple(hs[i][1] for i in sub))
             if p is None:
                 continue
             ok = True
             for nu, c in hs:
-                if _sgn(c - vec_dot(nu, p)) < 0:
+                if _sgn(c - dot(nu, p)) < 0:
                     ok = False
                     break
             if ok:

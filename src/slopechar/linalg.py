@@ -63,7 +63,7 @@ class Matrix:
     def __mul__(self, other):
         if isinstance(other, Matrix):
             cols = other.transpose().rows
-            return Matrix(tuple(_dot(r, c) for c in cols) for r in self.rows)
+            return Matrix(tuple(dot(r, c) for c in cols) for r in self.rows)
         return Matrix(tuple(e * other for e in r) for r in self.rows)
 
     def __add__(self, other):
@@ -84,10 +84,11 @@ class Matrix:
         return "Matrix([" + ",\n        ".join(str(list(r)) for r in self.rows) + "])"
 
     def apply(self, v):
-        return tuple(_dot(r, v) for r in self.rows)
+        return tuple(dot(r, v) for r in self.rows)
 
 
-def _dot(u, v):
+def dot(u, v):
+    """sum u_i v_i of two nonempty vectors, with the entries' own arithmetic."""
     it = iter(zip(u, v))
     a, b = next(it)
     acc = a * b
@@ -122,8 +123,7 @@ def det(m: Matrix):
     for c in range(n):
         piv = next((r for r in range(c, n) if not _is_zero(rows[r][c])), None)
         if piv is None:
-            zero = rows[0][0] - rows[0][0]
-            return zero
+            return rows[0][0] - rows[0][0]
         if piv != c:
             rows[c], rows[piv] = rows[piv], rows[c]
             sign_flips ^= 1
@@ -186,13 +186,9 @@ def inverse(m: Matrix) -> Matrix:
     if m.nrows != m.ncols:
         raise NotSquare(f"{m.nrows}x{m.ncols}")
     n = m.nrows
-    one = None
-    first = m.rows[0][0]
-    one = first / first if not _is_zero(first) else None
-    if one is None:
-        # find any nonzero entry to build the unit
-        nz = next(e for r in m.rows for e in r if not _is_zero(e))
-        one = nz / nz
+    # the unit of the entries' field, from the first nonzero entry
+    nz = next(e for r in m.rows for e in r if not _is_zero(e))
+    one = nz / nz
     zero = one - one
     aug = Matrix(tuple(m.rows[i]) + tuple(one if i == j else zero for j in range(n))
                  for i in range(n))

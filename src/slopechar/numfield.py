@@ -9,10 +9,12 @@ A certified fixed-point filter comes first: each field keeps integer bounds
 L_i <= 2^FILTER_BITS * alpha^i <= U_i, and a vector whose enclosure
 sum c_i [L_i, U_i] (`NumberField.enclosure`) excludes 0 gets the sign of that
 enclosure with integer arithmetic only.  Only when the enclosure contains 0
-does the exact path run: symbolically for the zero element, by a closed
-comparison for elements linear in alpha, and by interval refinement otherwise.
-Two values whose enclosures are disjoint are ordered by their enclosures
-alone, which is how the atlas arrangement compares slab values.
+does the exact path run: the zero test on the coefficients, then bisection of
+alpha's isolating interval until the interval enclosure of the element
+excludes 0.  Residues are canonical, so equality and zero tests compare
+coefficients and never need a sign.  Two values whose enclosures are
+disjoint are ordered by their enclosures alone, which is how the atlas
+arrangement compares slab values.
 """
 
 from __future__ import annotations
@@ -62,6 +64,11 @@ def _rat(x) -> Fraction:
     if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"not a rational: {x!r}")
+
+
+def rat_str(x) -> str:
+    """A rational as "p/q", or "p" when it is an integer."""
+    return str(Fraction(x))
 
 
 # ---------------------------------------------------------------------------
@@ -254,11 +261,6 @@ class NumberField:
 
     # -- construction helpers ------------------------------------------------
 
-    @staticmethod
-    def rationals() -> "NumberField":
-        """The degree-1 field Q itself (alpha = 0)."""
-        return NumberField([0, 1], (-1, 1))
-
     def elem(self, coeffs) -> "FieldElem":
         c = [_rat(x) for x in coeffs]
         if len(c) > self.degree:
@@ -289,19 +291,17 @@ class NumberField:
 
     # -- root interval refinement --------------------------------------------
 
+    def _bisect(self, lo, hi) -> tuple[Fraction, Fraction]:
+        """The half of the isolating interval [lo, hi] that holds alpha."""
+        mid = (lo + hi) / 2
+        if (poly_eval(self.minpoly, mid) > 0) == (self._sign_at_lo > 0):
+            return mid, hi
+        return lo, mid
+
     def _refine(self) -> None:
         """One bisection step on the cached isolating interval."""
-        if self.degree == 1:
-            return
-        mid = (self._lo + self._hi) / 2
-        if (poly_eval(self.minpoly, mid) > 0) == (self._sign_at_lo > 0):
-            self._lo = mid
-        else:
-            self._hi = mid
-
-    def refine_to(self, width: Fraction) -> None:
-        while self._hi - self._lo > width:
-            self._refine()
+        if self.degree > 1:
+            self._lo, self._hi = self._bisect(self._lo, self._hi)
 
     def interval_of(self, coeffs) -> tuple[Fraction, Fraction]:
         """Interval enclosure of sum coeffs[i] * alpha^i at current precision."""
@@ -333,11 +333,7 @@ class NumberField:
                 if all(u - l <= 2 for l, u in bounds):
                     self._filter = tuple(bounds)
                     return self._filter
-            mid = (lo + hi) / 2
-            if (poly_eval(self.minpoly, mid) > 0) == (self._sign_at_lo > 0):
-                lo = mid
-            else:
-                hi = mid
+            lo, hi = self._bisect(lo, hi)
 
     def enclosure(self, coeffs) -> tuple[int, int]:
         """Integers (lo, hi) with lo <= 2^FILTER_BITS * x <= hi for
@@ -367,23 +363,17 @@ class NumberField:
         """Sign of sum coeffs[i] * alpha^i under the real embedding.
 
         `coeffs` holds at most `degree` ints or Fractions.  The fixed-point
-        enclosure decides unless it contains 0; then the exact path does."""
+        enclosure decides unless it contains 0; then the exact path does:
+        the zero test, then refinement.  Refinement ends for every nonzero
+        element: a rational's interval enclosure is its value, and an
+        irrational's shrinks to its value."""
         lo, hi = self.enclosure(coeffs)
         if lo > 0:
             return 1
         if hi < 0:
             return -1
-        # exact path
-        if all(c == 0 for c in coeffs):
+        if not any(coeffs):
             return 0
-        if self.degree == 1 or all(c == 0 for c in coeffs[1:]):
-            return 1 if coeffs[0] > 0 else -1
-        nz = [i for i, c in enumerate(coeffs) if c != 0]
-        if nz == [1] or nz == [0, 1]:
-            # a + b*alpha: compare alpha against -a/b
-            a, b = coeffs[0], coeffs[1]
-            t = -Fraction(a) / b
-            return (1 if b > 0 else -1) * f_alpha_cmp(self, t)
         while True:
             lo, hi = self.interval_of(coeffs)
             if lo > 0:
@@ -646,45 +636,3 @@ class FieldElem:
             else:
                 terms.append(f"{c}*a^{i}" if c != 1 else f"a^{i}")
         return " + ".join(terms).replace("+ -", "- ")
-
-
-def f_alpha_cmp(f: NumberField, t: Fraction) -> int:
-    """Sign of (alpha - t) for rational t."""
-    lo, hi = f._lo, f._hi
-    if t <= lo:
-        return 1 if t < lo or poly_eval(f.minpoly, t) != 0 else 0
-    if t >= hi:
-        return -1
-    v = poly_eval(f.minpoly, t)
-    if v == 0:  # cannot happen for irreducible minpoly of degree >= 2
-        return 0
-    same_side_as_lo = (v > 0) == (f._sign_at_lo > 0)
-    return 1 if same_side_as_lo else -1
-
-
-# ---------------------------------------------------------------------------
-# spec-level operation names
-
-
-def nf_make(minpoly, root_interval) -> NumberField:
-    return NumberField(minpoly, root_interval)
-
-
-def field_ops(x: FieldElem, y: FieldElem, op: str) -> FieldElem:
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    if op == "div":
-        return x / y
-    raise ValueError(f"unknown op {op!r}")
-
-
-def nf_sign(x: FieldElem) -> int:
-    return x.sign()
-
-
-def nf_approx(x: FieldElem, digits: int) -> str:
-    return x.approx(digits)

@@ -14,7 +14,8 @@ from fractions import Fraction
 from functools import cmp_to_key
 
 from .geometry import (HPolytope, Window, _angle_cmp, _centroid, _sgn,
-                       eprime_basis, vec_dot, window)
+                       eprime_basis, window)
+from .linalg import dot
 from .slope import Slope
 from .tiling import LatticeMembership
 
@@ -78,24 +79,6 @@ class LiftedPattern:
         c = self.canonical()
         return (tuple(sorted(c.edges)), tuple(sorted(c._vertices)))
 
-    def is_connected(self):
-        verts = set(self._vertices)
-        if not verts:
-            return True
-        adj = {v: [] for v in verts}
-        for a, i in self.edges:
-            b = a[:i - 1] + (a[i - 1] + 1,) + a[i:]
-            adj[a].append(b)
-            adj[b].append(a)
-        seen = {next(iter(verts))}
-        stack = list(seen)
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return seen == verts
-
     def __repr__(self):
         return f"LiftedPattern({len(self.edges)} edges, {len(self._vertices)} vertices)"
 
@@ -134,7 +117,7 @@ def pattern_region(s: Slope, p: LiftedPattern) -> Region:
         shift = b.apply(x)
         translations.append(shift)
         for nu, hi in w.halfspaces():
-            halfspaces.append((nu, hi - vec_dot(nu, shift)))
+            halfspaces.append((nu, hi - dot(nu, shift)))
     return Region(HPolytope(halfspaces, s.n - s.d), p, translations)
 
 
@@ -356,6 +339,8 @@ def enumerate_r_patterns(s: Slope, r: int, samples: int = 200, seed: int = 0) ->
     """
     if r < 0:
         raise ValueError(f"r must be >= 0, got {r}")
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     m = s.n - s.d
     w = window(s)
     if m == 2:
@@ -374,6 +359,10 @@ def _arrangement(s: Slope, r: int, w: Window):
     min < c < max, which is the condition "some vertex strictly on each
     side".  Only a cell that splits gets a vertex pass.
 
+    A cut on a line already cut, or on a window edge, meets no cell's
+    interior: the first cut of a line split every cell it crossed.  Such a
+    cut, known by its slab and the coefficients of its offset, is skipped.
+
     The slab values (window vertices' nu_k . p, interpolated crossing
     values, cut offsets c) are exact field elements, each created once with
     its integer enclosure [lo, hi] of 2^FILTER_BITS times the value, and
@@ -387,14 +376,18 @@ def _arrangement(s: Slope, r: int, w: Window):
     """
     b = eprime_basis(s)
     nk = len(w.slabs)
-    base = [(p, tuple(_enclosed(vec_dot(nu, p)) for nu, _, _ in w.slabs))
+    base = [(p, tuple(_enclosed(dot(nu, p)) for nu, _, _ in w.slabs))
             for p in _window_polygon(w)]
     cells = [(base, [_extent(base, k) for k in range(nk)])]
+    seen = {(k, c.coeffs) for k, (_, lo, hi) in enumerate(w.slabs) for c in (lo, hi)}
     for x in _reachable_offsets(s.n, r + 1):
         shift = b.apply(x)
         for k, (nu, lo, hi) in enumerate(w.slabs):
-            t = vec_dot(nu, shift)
+            t = dot(nu, shift)
             for c in (lo - t, hi - t):
+                if (k, c.coeffs) in seen:
+                    continue
+                seen.add((k, c.coeffs))
                 c = _enclosed(c)
                 nxt = []
                 for cell, ext in cells:
@@ -436,7 +429,7 @@ def _enumerate_exact_2d(s: Slope, r: int, w: Window) -> PatternAtlas:
     for e in entries:
         total = e.area if total is None else total + e.area
     window_area = w.volume()
-    complete = _sgn(total - window_area) == 0
+    complete = total == window_area
     return PatternAtlas(entries, window_area, complete)
 
 

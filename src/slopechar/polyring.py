@@ -92,10 +92,6 @@ class Poly:
     def degree(self):
         return max((sum(m) for m in self.terms), default=-1)
 
-    def is_homogeneous(self):
-        degs = {sum(m) for m in self.terms}
-        return len(degs) <= 1
-
     def content_normalized(self):
         """Scale so coefficients are coprime integers, leading one positive."""
         if not self.terms:

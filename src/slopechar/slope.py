@@ -11,25 +11,17 @@ from fractions import Fraction
 from itertools import combinations
 
 from .numfield import FieldElem, NumberField
-from .linalg import Matrix, det, inverse, kernel_rational, rank, hnf
+from .linalg import Matrix, det, hnf, identity, inverse, kernel_rational, rank
 
 
 class SlopeError(Exception):
     pass
 
 
-class PluckerViolation(SlopeError):
-    pass
-
-
-class DegenerateLeadingCoordinate(SlopeError):
-    pass
-
-
 class Slope:
     """d-plane of R^n given by an n x d full-rank generator matrix over Q(alpha)."""
 
-    def __init__(self, field: NumberField, n: int, d: int, generators, offset=None):
+    def __init__(self, field: NumberField, n: int, d: int, generators):
         if not n > d >= 1:
             raise SlopeError(f"need n > d >= 1, got n={n}, d={d}")
         self.field = field
@@ -45,7 +37,6 @@ class Slope:
         self.generators = Matrix(zip(*cols))  # n x d
         if rank(self.generators) != d:
             raise SlopeError("generators are not linearly independent")
-        self.offset = tuple(Fraction(x) for x in offset) if offset is not None else None
 
     @property
     def u_columns(self):
@@ -90,26 +81,6 @@ class GrassmannCoords:
         sign = _perm_sign(idx, order)
         v = self.values[tuple(order)]
         return v if sign > 0 else -v
-
-    def sign_vector(self):
-        """Signs of all coordinates on ascending tuples (achievable orthant)."""
-        return {t: self.values[t].sign() for t in self.tuples()}
-
-    def normalized(self, at: tuple):
-        """Coordinates scaled so the value at `at` becomes 1."""
-        pivot = self[at]
-        if pivot.is_zero():
-            raise SlopeError(f"cannot normalize at zero coordinate {at}")
-        return GrassmannCoords(self.n, self.d,
-                               {t: v / pivot for t, v in self.values.items()})
-
-    def is_proportional_to(self, other) -> bool:
-        ts = self.tuples()
-        t0 = next(t for t in ts if not self.values[t].is_zero())
-        if other.values[t0].is_zero():
-            return False
-        ratio = self.values[t0] / other.values[t0]
-        return all(self.values[t] == other.values[t] * ratio for t in ts)
 
 
 def _perm_sign(seq, sorted_seq):
@@ -188,26 +159,5 @@ def projectors(s: Slope):
     gram = u.transpose() * u
     gram_inv = inverse(gram)
     pi = u * gram_inv * u.transpose()
-    one = s.field.one
-    zero = s.field.zero
-    ident = Matrix(tuple(one if i == j else zero for j in range(s.n)) for i in range(s.n))
-    return pi, ident - pi
+    return pi, identity(s.n, s.field.one, s.field.zero) - pi
 
-
-def slope_from_grassmann(g: GrassmannCoords) -> Slope:
-    """Generators M_{ji} = G_{1..i-1,j,i+1..d}; inverse of `grassmann` up to scale."""
-    for a, b in plucker_relation_index_pairs(g.n, g.d):
-        if not plucker_residual(g, a, b).is_zero():
-            raise PluckerViolation(f"relation ({a}, {b}) violated")
-    lead = tuple(range(1, g.d + 1))
-    if g[lead].is_zero():
-        raise DegenerateLeadingCoordinate(
-            "G_{1..d} = 0; permute coordinates before reconstructing")
-    cols = []
-    for i in range(1, g.d + 1):
-        col = []
-        for j in range(1, g.n + 1):
-            idx = tuple(range(1, i)) + (j,) + tuple(range(i + 1, g.d + 1))
-            col.append(g[idx])
-        cols.append(col)
-    return Slope(g.field, g.n, g.d, cols)

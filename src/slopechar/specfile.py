@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .numfield import FieldError, NumberField
+from .numfield import FieldError, NumberField, rat_str
 from .slope import Slope, SlopeError
 
 
@@ -130,13 +130,8 @@ def spec_offset(spec: SlopeSpec, slope: Slope):
     return tuple(slope.field.elem(list(e)) for e in spec.offset)
 
 
-def _rat_str(x: Fraction) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def _json_rat_list(vals):
-    return "[" + ", ".join(json.dumps(_rat_str(v)) for v in vals) + "]"
+    return "[" + ", ".join(json.dumps(rat_str(v)) for v in vals) + "]"
 
 
 def serialize(spec: SlopeSpec) -> str:

@@ -17,8 +17,8 @@ from fractions import Fraction
 from itertools import combinations
 from operator import mul
 
-from .geometry import (Window, complementary_zonotope, eprime_basis, vec_dot,
-                       window)
+from .geometry import Window, complementary_zonotope, eprime_basis, window
+from .linalg import dot, solve_right
 from .slope import Slope
 
 
@@ -64,7 +64,7 @@ def _slab_rows(w: Window, b):
     if got is None or got[0] is not b:
         rows = []
         for nu, lo, hi in w.slabs:
-            row = [vec_dot(nu, b.col(j)) for j in range(b.ncols)]
+            row = [dot(nu, b.col(j)) for j in range(b.ncols)]
             den = math.lcm(*(c.denominator for e in row for c in e.coeffs))
             rows.append((nu, den, tuple(zip(*(_cleared(e, den) for e in row))), lo, hi))
         got = w._lattice_rows = (b, rows)
@@ -89,7 +89,7 @@ class LatticeMembership:
         self.offset = offset = tuple(offset)
         self.tests = []
         for nu, den, cols, lo, hi in _slab_rows(w, b):
-            shift = vec_dot(nu, offset)
+            shift = dot(nu, offset)
             lo, hi = lo + shift, hi + shift
             common = math.lcm(den, *(c.denominator for c in lo.coeffs + hi.coeffs))
             if common != den:
@@ -128,13 +128,12 @@ class Patch:
     """Faces of a digitized patch; `member` is the membership that selected
     them, kept so later lattice tests at the same offset reuse its cache."""
 
-    def __init__(self, slope: Slope, offset, faces, radius, member, seed=None):
+    def __init__(self, slope: Slope, offset, faces, radius, member):
         self.slope = slope
         self.offset = tuple(offset)
         self.faces = sorted(faces)
         self.radius = radius
         self.member = member
-        self.seed = seed
 
     def vertex_set(self):
         verts = set()
@@ -175,7 +174,7 @@ def draw_offset(s: Slope, seed):
     return tuple(-center[j] + s.field.from_rational(jitter[j]) for j in range(m))
 
 
-def integral_sum_offset(s: Slope, jitter=None):
+def integral_sum_offset(s: Slope):
     """Offset whose component along pi'(1,...,1) sits at an integer level.
 
     Requires (1,...,1) orthogonal to the slope (as for the five-fold slopes,
@@ -183,8 +182,6 @@ def integral_sum_offset(s: Slope, jitter=None):
     level selects the classical tilings).  The jitter moves the offset
     within the plane orthogonal to that direction.
     """
-    from .linalg import solve_right
-
     n, field = s.n, s.field
     b = eprime_basis(s)
     delta = (1,) * n
@@ -197,9 +194,8 @@ def integral_sum_offset(s: Slope, jitter=None):
         return sum((lam[j] * y[j] for j in range(len(y))), start=field.zero)
 
     w = window(s)
-    if jitter is None:
-        jitter = (Fraction(3, 97), Fraction(5, 101), Fraction(7, 103))[:n - s.d]
-    jit = tuple(field.from_rational(Fraction(q)) for q in jitter)
+    jitter = (Fraction(3, 97), Fraction(5, 101), Fraction(7, 103))[:n - s.d]
+    jit = tuple(field.from_rational(q) for q in jitter)
     lj = lam_of(jit)
     inplane = tuple(jit[t] - lj * bdelta[t] / n for t in range(len(jit)))
     raw = tuple(-w.center[t] + inplane[t] for t in range(len(jit)))
@@ -219,7 +215,7 @@ def digitize(s: Slope, offset=None, radius=Fraction(10), seed=0) -> Patch:
     for attempt in range(attempts):
         o = draw_offset(s, f"{seed}:{attempt}") if offset is None else tuple(offset)
         try:
-            return _digitize_at(s, o, radius, seed)
+            return _digitize_at(s, o, radius)
         except SingularOffset as exc:
             last = exc
             if offset is not None:
@@ -227,7 +223,7 @@ def digitize(s: Slope, offset=None, radius=Fraction(10), seed=0) -> Patch:
     raise last
 
 
-def _digitize_at(s: Slope, offset, radius, seed) -> Patch:
+def _digitize_at(s: Slope, offset, radius) -> Patch:
     n, d = s.n, s.d
     b = eprime_basis(s)
     w = window(s)
@@ -283,7 +279,7 @@ def _digitize_at(s: Slope, offset, radius, seed) -> Patch:
                     break
             if ok and any(inball(c, float(radius)) for c in corners):
                 faces.append(f)
-    return Patch(s, offset, faces, radius, member, seed)
+    return Patch(s, offset, faces, radius, member)
 
 
 def _find_seed(member: LatticeMembership, n):

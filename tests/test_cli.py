@@ -217,12 +217,43 @@ def test_coincidence_fault_stays_visible(monkeypatch):
 @pytest.mark.parametrize("argv, message", [
     (["digitize", AB, "--radius", "-3"], "error: radius must be >= 0, got -3"),
     (["rpatterns", AB, "--r", "-1"], "error: r must be >= 0, got -1"),
-], ids=["negative_radius", "negative_r"])
+    (["digitize", AB, "--radius", "1/0"], "error: radius 1/0 has a zero denominator"),
+    (["rpatterns", PENROSE, "--samples", "0"], "error: samples must be >= 1, got 0"),
+    (["rpatterns", PENROSE, "--samples", "-5"], "error: samples must be >= 1, got -5"),
+], ids=["negative_radius", "negative_r", "zero_denominator_radius", "zero_samples",
+        "negative_samples"])
 def test_negative_size_exits_with_one_line(tmp_path, capsys, argv, message):
-    # a negative radius squared, or an empty set of walks, would pass as a
-    # one-face patch or a one-pattern atlas
+    # a negative radius squared, an empty set of walks, or no sample point
+    # would pass as a one-face patch, a one-pattern atlas or an empty atlas
     out = tmp_path / "out.json"
     assert cli.main(argv + ["--json", str(out)]) == cli.EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [message]
+    assert not captured.out
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("edge, vertices, message", [
+    # direction 0 would wrap a[:i - 1] to a[:-1], the region of another pattern
+    ({"vertex": [0, 0, 0, 0], "direction": 0}, [],
+     "error: pattern: edge direction 0 is not in 1..4"),
+    ({"vertex": [0, 0, 0, 0], "direction": 7}, [],
+     "error: pattern: edge direction 7 is not in 1..4"),
+    ({"vertex": [0, 0, 0], "direction": 1}, [],
+     "error: pattern: vertex [0, 0, 0] needs 4 integer coordinates"),
+    ({"vertex": [0, 0, 0, 0], "direction": 1}, [[0, 0, 0]],
+     "error: pattern: vertex [0, 0, 0] needs 4 integer coordinates"),
+    ({"vertex": [0, 0, 0, "1/2"], "direction": 1}, [],
+     "error: pattern: vertex [0, 0, 0, '1/2'] needs 4 integer coordinates"),
+], ids=["direction_0", "direction_above_n", "short_vertex", "short_isolated_vertex",
+        "rational_coordinate"])
+def test_regions_rejects_a_pattern_off_the_lattice(tmp_path, capsys, edge, vertices,
+                                                   message):
+    pat = tmp_path / "pattern.json"
+    pat.write_text(json.dumps({"edges": [edge], "vertices": vertices}))
+    out = tmp_path / "region.json"
+    assert cli.main(["regions", AB, "--pattern", str(pat), "--out", str(out)]) \
+        == cli.EXIT_PARSE
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [message]
     assert not captured.out

@@ -142,8 +142,7 @@ def _reference_sign(name, coeffs):
 
 def _convergents(field, max_q):
     """Continued-fraction convergents (p, q) of alpha with q <= max_q."""
-    field.refine_to(F(1, max_q ** 3))
-    lo, hi = field.root_interval
+    lo, hi = field.alpha.interval(F(1, max_q ** 3))
     out = []
     p0, q0, p1, q1 = 0, 1, 1, 0
     while True:
@@ -190,19 +189,26 @@ def test_filtered_sign_matches_exact_path(elem):
 
 
 def test_filter_defers_near_zero_elements_to_the_exact_path(monkeypatch):
-    calls = []
-    exact = numfield.f_alpha_cmp
-    monkeypatch.setattr(numfield, "f_alpha_cmp",
-                        lambda f, t: calls.append(t) or exact(f, t))
+    cases = []
     for name, conv in CONVERGENTS.items():
         assert conv[-1][1] > 10 ** 29
-        f = FIELDS[name]()
+        degree = FIELDS[name]().degree
         for p, q in conv:
             for sg in (1, -1):
-                coeffs = (F(sg * p), F(-sg * q)) + (F(0),) * (f.degree - 2)
-                assert f.sign_of(coeffs) == _reference_sign(name, coeffs)
+                coeffs = (F(sg * p), F(-sg * q)) + (F(0),) * (degree - 2)
+                cases.append((name, coeffs, _reference_sign(name, coeffs)))
+    steps = []
+    refine = NumberField._refine
+    monkeypatch.setattr(NumberField, "_refine", lambda f: steps.append(f) or refine(f))
+    refined = 0
+    for name, coeffs, expected in cases:
+        # a fresh field per element: no earlier element has refined alpha
+        f = FIELDS[name]()
+        steps.clear()
+        assert f.sign_of(coeffs) == expected
+        refined += bool(steps)
     # the largest convergents are closer to alpha than the filter resolves
-    assert len(calls) >= 4
+    assert refined >= 4
 
 
 def test_sign_filter_leaves_the_root_interval_alone():

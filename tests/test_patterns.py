@@ -7,8 +7,8 @@ import pytest
 
 from slopechar import patterns
 from slopechar.geometry import (BOUNDARY, INSIDE, OUTSIDE, _sgn, eprime_basis,
-                                vec_dot, window)
-from slopechar.linalg import Matrix, rank
+                                window)
+from slopechar.linalg import Matrix, dot, rank
 from slopechar.patterns import (LiftedPattern, NotFoldable, SingularPoint,
                                 cyclic_rotation_group, edge_between,
                                 enumerate_r_patterns, fold_path,
@@ -170,7 +170,7 @@ def _clip_by_vertex_pass(poly, nu, c, keep_sign):
     product."""
     out = []
     m = len(poly)
-    vals = [vec_dot(nu, p) - c for p in poly]
+    vals = [dot(nu, p) - c for p in poly]
     sides = [_sgn(v) * keep_sign for v in vals]
     for k in range(m):
         a, b = poly[k], poly[(k + 1) % m]
@@ -195,11 +195,11 @@ def _arrangement_by_vertex_pass(s, r):
     for x in patterns._reachable_offsets(s.n, r + 1):
         shift = b.apply(x)
         for nu, lo, hi in w.slabs:
-            t = vec_dot(nu, shift)
+            t = dot(nu, shift)
             for c in (lo - t, hi - t):
                 nxt = []
                 for poly in cells:
-                    sides = {_sgn(vec_dot(nu, p) - c) for p in poly}
+                    sides = {_sgn(dot(nu, p) - c) for p in poly}
                     if 1 in sides and -1 in sides:
                         nxt += [part for part in (_clip_by_vertex_pass(poly, nu, c, -1),
                                                   _clip_by_vertex_pass(poly, nu, c, 1))

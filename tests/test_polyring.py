@@ -22,8 +22,6 @@ def test_leading_and_degree():
     p = P({(1, 1): 3, (2, 0): 1, (0, 0): -7})
     assert p.leading() == ((2, 0), F(1))
     assert p.degree() == 2
-    assert not p.is_homogeneous()
-    assert P({(2, 0): 1, (1, 1): 5}).is_homogeneous()
 
 
 def test_arithmetic_and_zero():
