@@ -253,33 +253,6 @@ class HPolytope:
         return verts
 
 
-def _centroid(pts):
-    n = len(pts)
-    acc = list(pts[0])
-    for p in pts[1:]:
-        for j, x in enumerate(p):
-            acc[j] = acc[j] + x
-    return tuple(x / n for x in acc)
-
-
-def _angle_cmp(center):
-    def half(p):
-        dy = _sgn(p[1] - center[1])
-        if dy != 0:
-            return 0 if dy > 0 else 1
-        return 0 if _sgn(p[0] - center[0]) > 0 else 1
-
-    def cmp(a, b):
-        ha, hb = half(a), half(b)
-        if ha != hb:
-            return -1 if ha < hb else 1
-        cross = (a[0] - center[0]) * (b[1] - center[1]) \
-              - (a[1] - center[1]) * (b[0] - center[0])
-        s = _sgn(cross)
-        return -s
-    return cmp
-
-
 def complementary_zonotope(s: Slope, directions) -> Window:
     """Zonotope of the n-d generators NOT in `directions` (1-based), anchored
     at the window's base; the anchor test dual to full-face membership."""

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 
-from .geometry import (HPolytope, Window, _angle_cmp, _centroid, _sgn,
-                       eprime_basis, window)
-from .linalg import dot
+from .geometry import HPolytope, Window, _sgn, eprime_basis, window
+from .linalg import _is_zero, dot
 from .slope import Slope
 from .tiling import LatticeMembership
 
@@ -186,9 +185,15 @@ def r_pattern_at(s: Slope, q, r: int) -> LiftedPattern:
     q + B x over lattice offsets x, so the membership's offset is -q.
     """
     member = LatticeMembership(window(s), eprime_basis(s), tuple(-c for c in q))
-    n = s.n
+    return _walk(s.n, r, member.status)
+
+
+def _walk(n: int, r: int, status) -> LiftedPattern:
+    """Union of the length-(r+1) walks from 0 in Z^n through the offsets x
+    with status(x) == 1 (in the window), anchored at 0; status(x) is 1
+    inside, 0 on a boundary, -1 outside."""
     origin = (0,) * n
-    if member.status(origin) != 1:
+    if status(origin) != 1:
         raise SingularPoint("base point not strictly inside the window")
     dist = {origin: 0}
     frontier = [origin]
@@ -199,7 +204,7 @@ def r_pattern_at(s: Slope, q, r: int) -> LiftedPattern:
             for j in range(n):
                 for sg in (1, -1):
                     y = x[:j] + (x[j] + sg,) + x[j + 1:]
-                    st = member.status(y)
+                    st = status(y)
                     if st == 0:
                         raise SingularPoint(
                             f"walk point at offset {y} lies on a window boundary")
@@ -281,21 +286,49 @@ def _extent(cell, k):
     return lo, hi
 
 
+def _cross(a, b):
+    return a[0] * b[1] - a[1] * b[0]
+
+
 def _poly_area(poly):
     if len(poly) < 3:
         zero = poly[0][0] - poly[0][0] if poly else Fraction(0)
         return zero
     acc = None
     for k in range(len(poly)):
-        a, b = poly[k], poly[(k + 1) % len(poly)]
-        t = a[0] * b[1] - b[0] * a[1]
+        t = _cross(poly[k], poly[(k + 1) % len(poly)])
         acc = t if acc is None else acc + t
     return abs(acc / 2)
 
 
 def _window_polygon(w: Window):
-    verts = w.as_hpolytope().vertices()
-    return sorted(verts, key=cmp_to_key(_angle_cmp(_centroid(verts))))
+    """The vertices of a 2-D window, counter-clockwise, from its generators.
+
+    Each nonzero generator is turned to point into the upper half-plane,
+    the base moving by every generator that was turned, so the zonotope is
+    the same.  Parallel generators are then merged, and the rest sorted by
+    angle with exact cross products.  Walking from the base along the
+    sorted generators, then back along the same generators negated, visits
+    every vertex once (Shephard, Canad. J. Math. 1974)."""
+    start = w.base
+    gens = []
+    for g in w.generators:
+        if all(_is_zero(c) for c in g):
+            continue
+        if _sgn(g[0] if _is_zero(g[1]) else g[1]) < 0:
+            start = tuple(a + c for a, c in zip(start, g))
+            g = tuple(-c for c in g)
+        for i, h in enumerate(gens):
+            if _is_zero(_cross(g, h)):
+                gens[i] = tuple(a + c for a, c in zip(g, h))
+                break
+        else:
+            gens.append(g)
+    gens.sort(key=cmp_to_key(lambda a, b: -_sgn(_cross(a, b))))
+    verts = [start]
+    for g in gens + [tuple(-c for c in g) for g in gens[:-1]]:
+        verts.append(tuple(a + c for a, c in zip(verts[-1], g)))
+    return verts
 
 
 def _reachable_offsets(n, length):
@@ -350,7 +383,9 @@ def enumerate_r_patterns(s: Slope, r: int, samples: int = 200, seed: int = 0) ->
 
 def _arrangement(s: Slope, r: int, w: Window):
     """Cells of the window cut by every translated slab boundary line that
-    the walks of an r-pattern can cross, as ordered vertex lists.
+    the walks of an r-pattern can cross, as ordered vertex lists, with the
+    label of each cell and the masks that read walk membership off a label.
+    Returns (cells, labels, masks).
 
     Each cut is a line nu_k . y = c of slab k.  Each cell carries its extent
     (min, max) of nu_k . y over its vertices for every k.  A cell is convex
@@ -373,46 +408,82 @@ def _arrangement(s: Slope, r: int, w: Window):
     exact path reports equal values as 0; a cut along a cell edge gives
     c = min or c = max, and the cell does not split.  So the test gives the
     cells that exact comparisons alone give.
+
+    Labels.  Every distinct cut (k, c), the window's own bounds included,
+    owns one bit, and a cell's label has that bit set iff the cell lies on
+    the side nu_k . y > c.  The loop knows that side for every cell: c <= min
+    puts the cell on the high side and max <= c on the low side; a split
+    gives the low half a clear bit and the high half a set one.  A skipped
+    cut takes the bit of the first cut with its key.  No cut meets the
+    interior of a finished cell, so nu_k . y - c has one strict sign on the
+    whole open cell, the sign its bit records.
+
+    At a point q, a walk offset x is in the window iff
+    lo_k - nu_k . B x < nu_k . q < hi_k - nu_k . B x for every k (the test
+    of `r_pattern_at`).  So masks[x] = (need, forbid) holds the bits of the
+    cuts lo_k - nu_k . B x, which must be set, and of hi_k - nu_k . B x,
+    which must be clear.  They are given for 0 and for every x with
+    |x|_1 <= r + 1, all the offsets an r-pattern's walks test, and a label
+    decides each of them on its whole open cell.
     """
     b = eprime_basis(s)
     nk = len(w.slabs)
     base = [(p, tuple(_enclosed(dot(nu, p)) for nu, _, _ in w.slabs))
             for p in _window_polygon(w)]
-    cells = [(base, [_extent(base, k) for k in range(nk)])]
-    seen = {(k, c.coeffs) for k, (_, lo, hi) in enumerate(w.slabs) for c in (lo, hi)}
+    bits = {}
+    for k, (_, lo, hi) in enumerate(w.slabs):
+        bits[k, lo.coeffs] = 2 * k
+        bits[k, hi.coeffs] = 2 * k + 1
+    # every cell lies above the window's lo_k and below its hi_k
+    inside = sum(1 << 2 * k for k in range(nk))
+    masks = {(0,) * s.n: (inside, inside << 1)}
+    cells = [(base, [_extent(base, k) for k in range(nk)], inside)]
     for x in _reachable_offsets(s.n, r + 1):
         shift = b.apply(x)
+        need_forbid = [0, 0]
         for k, (nu, lo, hi) in enumerate(w.slabs):
             t = dot(nu, shift)
-            for c in (lo - t, hi - t):
-                if (k, c.coeffs) in seen:
-                    continue
-                seen.add((k, c.coeffs))
-                c = _enclosed(c)
-                nxt = []
-                for cell, ext in cells:
-                    cmin, cmax = ext[k]
-                    if _cmp(c, cmin) <= 0 or _cmp(cmax, c) <= 0:
-                        nxt.append((cell, ext))
-                        continue
-                    lo_part, hi_part = _split(cell, k, c)
-                    # the cut's own slab: the halves meet at c
-                    for part, own in ((lo_part, (cmin, c)), (hi_part, (c, cmax))):
-                        nxt.append((part, [own if j == k else _extent(part, j)
-                                           for j in range(nk)]))
-                cells = nxt
-    return [[p for p, _ in cell] for cell, _ in cells]
+            for side, c in enumerate((lo - t, hi - t)):
+                bit = bits.get((k, c.coeffs))
+                if bit is None:
+                    bit = bits[k, c.coeffs] = len(bits)
+                    cells = _cut(cells, k, _enclosed(c), 1 << bit)
+                need_forbid[side] |= 1 << bit
+        masks[x] = tuple(need_forbid)
+    return ([[p for p, _ in cell] for cell, _, _ in cells],
+            [label for _, _, label in cells], masks)
+
+
+def _cut(cells, k, c, bit):
+    """The cells, each with its extents and label, after the cut
+    nu_k . y = c; `bit` is set on the side nu_k . y > c."""
+    out = []
+    for cell, ext, label in cells:
+        cmin, cmax = ext[k]
+        if _cmp(c, cmin) <= 0:
+            out.append((cell, ext, label | bit))
+        elif _cmp(cmax, c) <= 0:
+            out.append((cell, ext, label))
+        else:
+            lo_part, hi_part = _split(cell, k, c)
+            # the cut's own slab: the halves meet at c
+            for part, own, side in ((lo_part, (cmin, c), label),
+                                    (hi_part, (c, cmax), label | bit)):
+                out.append((part, [own if j == k else _extent(part, j)
+                                   for j in range(len(ext))], side))
+    return out
 
 
 def _enumerate_exact_2d(s: Slope, r: int, w: Window) -> PatternAtlas:
-    """The cells of `_arrangement`, decided by the exact extent test that
-    its docstring explains, grouped by the r-pattern at their centroids; the
-    areas partition the window."""
-    cells = _arrangement(s, r, w)
+    """The cells of `_arrangement` grouped by their r-patterns; the areas
+    partition the window.  A cell's r-pattern is the walk of `r_pattern_at`
+    with "x is in the window" read off the cell's label by two mask tests,
+    which holds at every point of the open cell: no field arithmetic, no
+    sample point and no lattice membership."""
+    cells, labels, masks = _arrangement(s, r, w)
     by_pattern = {}
-    for poly in cells:
-        centroid = _centroid(poly)
-        pat = r_pattern_at(s, centroid, r)
+    for poly, label in zip(cells, labels):
+        pat = _walk(s.n, r, _label_status(label, masks))
         key = pat.encode()
         if key not in by_pattern:
             by_pattern[key] = (pat, [])
@@ -431,6 +502,15 @@ def _enumerate_exact_2d(s: Slope, r: int, w: Window) -> PatternAtlas:
     window_area = w.volume()
     complete = total == window_area
     return PatternAtlas(entries, window_area, complete)
+
+
+def _label_status(label, masks):
+    """Walk status of the offsets x of `masks` on a cell with this label:
+    1 in the window, -1 outside."""
+    def status(x):
+        need, forbid = masks[x]
+        return 1 if label & need == need and not label & forbid else -1
+    return status
 
 
 def _enumerate_sampled(s: Slope, r: int, w: Window, samples: int, seed: int) -> PatternAtlas:

@@ -32,20 +32,24 @@ class SlopeSpec:
     seed: int = 0
 
 
-def _rat(v) -> Fraction:
-    if isinstance(v, str):
-        return Fraction(v)
+def _rat(v, key) -> Fraction:
+    """The rational value v of `key`: an integer or a "p/q" string."""
     if isinstance(v, int):
         return Fraction(v)
-    raise SpecError(f"expected integer or 'p/q' string, got {v!r}")
+    if not isinstance(v, str):
+        raise SpecError(f"{key}: expected integer or 'p/q' string, got {v!r}")
+    try:
+        return Fraction(v)
+    except (ValueError, ZeroDivisionError):
+        raise SpecError(f"{key}: invalid rational {v!r}") from None
 
 
-def _entry(v, k):
+def _entry(v, k, key):
     if not isinstance(v, list):
         v = [v]
-    coeffs = [_rat(c) for c in v]
+    coeffs = [_rat(c, key) for c in v]
     if len(coeffs) > k:
-        raise SpecError(f"entry {v!r} has more than {k} coefficients")
+        raise SpecError(f"{key}: entry {v!r} has more than {k} coefficients")
     return tuple(coeffs + [Fraction(0)] * (k - len(coeffs)))
 
 
@@ -66,8 +70,8 @@ def parse_spec(text: str) -> SlopeSpec:
     for key in ("minpoly", "root_interval", "n", "d", "generators"):
         if key not in raw:
             raise SpecError(f"missing key: {key}")
-    minpoly = tuple(_rat(c) for c in raw["minpoly"])
-    interval = tuple(_rat(c) for c in raw["root_interval"])
+    minpoly = tuple(_rat(c, "minpoly") for c in raw["minpoly"])
+    interval = tuple(_rat(c, "root_interval") for c in raw["root_interval"])
     if len(interval) != 2:
         raise SpecError("root_interval needs exactly two endpoints")
     n, d = raw["n"], raw["d"]
@@ -81,18 +85,19 @@ def parse_spec(text: str) -> SlopeSpec:
     for g in gens:
         if not isinstance(g, list) or len(g) != n:
             raise SpecError(f"each generator needs {n} entries")
-        columns.append(tuple(_entry(e, k) for e in g))
+        columns.append(tuple(_entry(e, k, "generators") for e in g))
     offset = raw.get("offset")
     if offset is not None and offset != "integral-sum":
         if not isinstance(offset, list) or len(offset) != n - d:
             raise SpecError(f"offset needs {n - d} entries or 'integral-sum'")
-        offset = tuple(_entry(e, k) for e in offset)
+        offset = tuple(_entry(e, k, "offset") for e in offset)
     normalization = raw.get("normalization")
     if normalization is not None:
-        if isinstance(normalization, str) and normalization.startswith("G"):
-            normalization = tuple(int(c) for c in normalization[1:])
-        else:
-            raise SpecError("normalization must look like \"G12\"")
+        if not (isinstance(normalization, str) and normalization.startswith("G")
+                and normalization[1:].isdecimal()):
+            raise SpecError(f"normalization: expected a name like \"G12\", "
+                            f"got {normalization!r}")
+        normalization = tuple(int(c) for c in normalization[1:])
         if len(normalization) != d or len(set(normalization)) != d \
                 or not all(1 <= i <= n for i in normalization):
             raise SpecError(f"normalization must name {d} distinct axes in 1..{n}")

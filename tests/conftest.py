@@ -39,3 +39,19 @@ def ab(ab_spec):
 @pytest.fixture(scope="session")
 def penrose(penrose_spec):
     return specfile.to_slope(penrose_spec)
+
+
+QUAD42 = """\
+minpoly = ["-13", "0", "1"]
+root_interval = ["-4", "-3"]
+n = 4
+d = 2
+generators = [[["1", "-1"], ["0", "-1"], ["0", "-1"], ["1", "0"]], [["-1", "1"], ["-1", "-1"], ["1", "-1"], ["-1", "0"]]]
+"""
+
+
+@pytest.fixture(scope="session")
+def quad42():
+    """A quadratic 4->2 slope whose window is a hexagon: two of its four
+    generators are parallel."""
+    return specfile.to_slope(specfile.parse_spec(QUAD42))

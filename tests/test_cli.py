@@ -204,6 +204,18 @@ def test_vanishing_normalization_exits_with_one_line(tmp_path, capsys):
         "error: normalization coordinate G12 vanishes at the slope"]
 
 
+@pytest.mark.parametrize("line, message", [
+    ('normalization = "G1x"', 'error: normalization: expected a name like "G12", got \'G1x\''),
+    ('offset = [[0], "x"]', "error: offset: invalid rational 'x'"),
+], ids=["normalization", "offset"])
+def test_bad_value_exits_with_one_line_naming_its_key(tmp_path, capsys, line, message):
+    path = tmp_path / "bad.slope"
+    path.write_text('minpoly = ["-2", 0, 1]\nroot_interval = ["1", "2"]\n'
+                    f"n = 4\nd = 2\ngenerators = {GOOD_GENERATORS}\n{line}\n")
+    assert cli.main(["verdict", str(path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [message]
+
+
 def test_coincidence_fault_stays_visible(monkeypatch):
     # a program fault inside verdict is not an input error: it is not
     # mapped to an exit code

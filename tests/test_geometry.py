@@ -3,8 +3,9 @@ from itertools import product
 
 import pytest
 
-from slopechar.geometry import (BOUNDARY, INSIDE, OUTSIDE, HPolytope,
-                                complementary_zonotope, eprime_basis, window)
+from slopechar.geometry import (BOUNDARY, INSIDE, OUTSIDE, HPolytope, Window,
+                                _sgn, complementary_zonotope, eprime_basis,
+                                window)
 from slopechar.patterns import _window_polygon
 
 
@@ -45,6 +46,33 @@ def test_window_area_ab(ab):
 def test_window_area_typical(typical):
     w = window(typical)
     assert w.volume() == _shoelace(_window_polygon(w))
+
+
+def _window_polygon_matches_vertex_enumeration(w):
+    # the generator walk gives the vertices that half-space enumeration
+    # gives, each once, counter-clockwise with a left turn at every vertex
+    poly = _window_polygon(w)
+    key = lambda p: tuple(getattr(c, "coeffs", c) for c in p)
+    assert sorted(map(key, poly)) == sorted(map(key, w.as_hpolytope().vertices()))
+    assert len(set(map(key, poly))) == len(poly)
+    for a, b, c in zip(poly, poly[1:] + poly[:1], poly[2:] + poly[:2]):
+        assert _sgn((b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0])) > 0
+    return poly
+
+
+@pytest.mark.parametrize("name, count", [("typical", 8), ("ab", 8), ("quad42", 6)])
+def test_window_polygon_is_the_generator_walk(request, name, count):
+    # penrose is left out: its window is 3-dimensional
+    w = window(request.getfixturevalue(name))
+    assert len(_window_polygon_matches_vertex_enumeration(w)) == count
+
+
+def test_window_polygon_turns_merges_and_drops_generators():
+    # generators pointing down or left are turned, the parallel ones merged
+    # and the zero one dropped: a parallelogram moved off the base
+    gens = [(F(1), F(0)), (F(-2), F(0)), (F(0), F(0)), (F(1), F(-1)), (F(-1), F(1))]
+    w = Window(gens, (F(1, 2), F(3)))
+    assert len(_window_polygon_matches_vertex_enumeration(w)) == 4
 
 
 def test_window_volume_penrose(penrose):

@@ -215,7 +215,7 @@ def test_arrangement_matches_vertex_pass(request, name, r):
     # the extent test splits the same cells, into the same vertices, in the
     # same order, as the side test of every vertex
     s = request.getfixturevalue(name)
-    cells = patterns._arrangement(s, r, window(s))
+    cells, _, _ = patterns._arrangement(s, r, window(s))
     assert cells == _arrangement_by_vertex_pass(s, r)
     assert len(cells) > 100
 
@@ -286,6 +286,44 @@ def test_enclosure_comparisons_match_exact_signs(request, monkeypatch, name):
     patterns._arrangement(s, 0, window(s))
     assert set(calls) == {-1, 0, 1}
     assert len(exact) < len(calls) / 4
+
+
+def _centroid(poly):
+    acc = poly[0]
+    for p in poly[1:]:
+        acc = tuple(a + c for a, c in zip(acc, p))
+    return tuple(a / len(poly) for a in acc)
+
+
+@pytest.mark.parametrize("name, r", [("ab", 0), ("ab", 1), ("typical", 0), ("quad42", 0)])
+def test_cell_labels_give_the_pattern_at_each_centroid(request, monkeypatch, name, r):
+    # a cell's pattern, read off its label, is the one the lattice walk of
+    # r_pattern_at finds at a point inside the cell
+    s = request.getfixturevalue(name)
+    cuts = []
+    cut = patterns._cut
+    monkeypatch.setattr(patterns, "_cut", lambda *a: cuts.append(a) or cut(*a))
+    atlas = enumerate_r_patterns(s, r)
+    assert atlas.complete
+    for e in atlas.entries:
+        for poly in e.cells:
+            assert r_pattern_at(s, _centroid(poly), r).canonical() == e.pattern
+    if (name, r) == ("ab", 1):
+        # most cuts repeat a line already cut: their labels come by aliasing
+        total = 2 * len(window(s).slabs) * len(patterns._reachable_offsets(s.n, r + 1))
+        assert (total, total - len(cuts)) == (320, 240)
+
+
+def test_exact_atlas_takes_no_lattice_walk(ab, penrose, monkeypatch):
+    # the exact 2-D atlas reads its patterns off the cell labels; only the
+    # sampled 3-D atlas walks the lattice from its sample points
+    calls = []
+    walk = patterns.r_pattern_at
+    monkeypatch.setattr(patterns, "r_pattern_at", lambda *a: calls.append(a) or walk(*a))
+    enumerate_r_patterns(ab, 1)
+    assert calls == []
+    enumerate_r_patterns(penrose, 0, samples=2, seed=3)
+    assert calls
 
 
 def test_cmp_decides_overlapping_enclosures_exactly(monkeypatch):
