@@ -23,6 +23,7 @@ from .slope import (Slope, _perm_sign, grassmann, is_generic,
 
 DEGREE_CAP = 12
 BASIS_CAP = 10000
+MINPOLY_DEGREE_CAP = 8
 
 
 class CharcheckError(Exception):
@@ -134,9 +135,8 @@ def assemble_ideal(s: Slope, equations=None, normalize_at=None):
         raise VanishingNormalization(
             f"normalization coordinate {name} vanishes at the slope")
     nvars = len(tuples)
-    one = Poly.constant(nvars, 1)
     polys = [e.poly for e in equations] + plucker_polys(s.n, s.d)
-    subst = [p.substitute([(norm_pos, one)]) for p in polys]
+    subst = [p.specialize({norm_pos: 1}) for p in polys]
     gens = span_reduce([p for p in subst if p])
     active = tuple(i for i in range(nvars) if i != norm_pos)
     return PolyIdeal(names, gens, active), tuple(normalize_at)
@@ -270,17 +270,20 @@ def _interreduce(basis):
     return out
 
 
+def _free_variables(gb, active):
+    """The active variables that are no leading monomial's pure power."""
+    leads = [g.leading()[0] for g in gb]
+    return tuple(i for i in active
+                 if not any(sum(m) == m[i] and m[i] > 0 for m in leads))
+
+
 def is_zero_dimensional(gb, nvars=None, active=None):
     """True iff every (active) variable has a pure-power leading monomial."""
     if not gb:
         return False
-    nvars = gb[0].nvars if nvars is None else nvars
-    active = range(nvars) if active is None else active
-    leads = [g.leading()[0] for g in gb]
-    for i in active:
-        if not any(sum(m) == m[i] and m[i] > 0 for m in leads):
-            return False
-    return True
+    if active is None:
+        active = range(gb[0].nvars if nvars is None else nvars)
+    return not _free_variables(gb, active)
 
 
 # ---------------------------------------------------------------------------
@@ -354,9 +357,11 @@ def isolate_real_roots(coeffs):
     return sorted(out)
 
 
-def minimal_polynomial_of(var, gb, nvars, cap=8):
+def minimal_polynomial_of(var, gb, nvars):
     """Monic univariate polynomial (ascending coefficients) of least degree
-    satisfied by the variable modulo the ideal of gb, or None below cap."""
+    satisfied by the variable modulo the ideal of gb, or None if that degree
+    exceeds MINPOLY_DEGREE_CAP."""
+    cap = MINPOLY_DEGREE_CAP
     basis_lt = [(g.leading()[0], g.leading()[1], g.terms) for g in gb]
     unit = tuple(1 if i == var else 0 for i in range(nvars))
     nf = {(0,) * nvars: Fraction(1)}
@@ -436,16 +441,10 @@ def _r_bound(s: Slope, equations):
     return best, tuple(witnesses)
 
 
-def _free_variables(gb, active):
-    leads = [g.leading()[0] for g in gb]
-    return tuple(i for i in active
-                 if not any(sum(m) == m[i] and m[i] > 0 for m in leads))
-
-
 def _solve_linearly(gens, active):
     """Assignment {var: Fraction} if repeated linear elimination solves the
     system completely, else None."""
-    gens = [Poly(g.nvars, g.terms) for g in gens if g]
+    gens = [g for g in gens if g]
     values = {}
     progress = True
     while gens and progress:
@@ -459,8 +458,7 @@ def _solve_linearly(gens, active):
                 continue
             v = -coeffs[0] / coeffs[1]
             values[var] = v
-            const = Poly.constant(g.nvars, v)
-            gens = [h.substitute([(var, const)]) for h in gens]
+            gens = [h.specialize({var: v}) for h in gens]
             gens = [h for h in gens if h]
             progress = True
             break
@@ -508,7 +506,7 @@ def _comparison_point(gb, active, free, names, exact_values, norm_pos):
     values = {norm_pos: Fraction(1)}
     for fv in free:
         for c in _candidates(exact_values[fv]):
-            trial = [g.substitute([(fv, Poly.constant(nvars, c))]) for g in spec]
+            trial = [g.specialize({fv: c}) for g in spec]
             if not any(g.degree() == 0 and g for g in trial):
                 break
         else:
@@ -529,8 +527,7 @@ def _comparison_point(gb, active, free, names, exact_values, norm_pos):
     return {names[i]: x for i, x in values.items()}
 
 
-def verdict(s: Slope, normalize_at=None,
-            degree_cap=DEGREE_CAP, basis_cap=BASIS_CAP) -> Verdict:
+def verdict(s: Slope, normalize_at=None) -> Verdict:
     """Characterization verdict for a slope (Penrose-like inputs get the
     non-generic informational treatment)."""
     t0 = time.monotonic()
@@ -551,7 +548,7 @@ def verdict(s: Slope, normalize_at=None,
     norm_pos = tuples.index(norm)
     norm_val = exact[norm_pos]
     scaled = [v / norm_val for v in exact]
-    gb = buchberger(ideal, degree_cap=degree_cap, basis_cap=basis_cap)
+    gb = buchberger(ideal)
     timings["groebner"] = time.monotonic() - t1
 
     if not generic:
@@ -592,7 +589,8 @@ def verdict(s: Slope, normalize_at=None,
                        witness={"rational_normal_vector": tuple(gwitness)},
                        consequences=tuple(consequences), timings=timings)
 
-    if is_zero_dimensional(gb, len(tuples), ideal.active):
+    free = _free_variables(gb, ideal.active)
+    if not free:
         r_bound, witnesses = _r_bound(s, eqs)
         timings["total"] = time.monotonic() - t0
         return Verdict(status="CharacterizedByCoincidences", names=tuple(names),
@@ -600,16 +598,13 @@ def verdict(s: Slope, normalize_at=None,
                        groebner=tuple(gb), r_bound=r_bound,
                        r_witnesses=witnesses, timings=timings)
 
-    free = _free_variables(gb, ideal.active)
     # family through the slope: specialize bound variables whose value at the
     # slope is rational, keep the relations purely among the free variables
-    bound_subst = []
-    for i in ideal.active:
-        if i not in free and scaled[i].is_rational():
-            bound_subst.append((i, Poly.constant(len(tuples), scaled[i].coeffs[0])))
+    bound = {i: scaled[i].coeffs[0] for i in ideal.active
+             if i not in free and scaled[i].is_rational()}
     family = []
     for p in gb:
-        q = p.substitute(bound_subst)
+        q = p.specialize(bound)
         if q and {i for m in q.terms for i, e in enumerate(m) if e} <= set(free):
             family.append(q.content_normalized())
     family = tuple(dict.fromkeys(family))

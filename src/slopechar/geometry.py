@@ -2,7 +2,7 @@
 vertex-level work; H-form predicates work in any dimension).
 
 All coordinates live in a fixed exact basis of E' obtained by row-reducing
-the projector pi', so every predicate is a sign computation in Q(alpha); a
+a basis of E' = E^perp, so every predicate is a sign computation in Q(alpha); a
 zero test compares coefficients.
 """
 
@@ -11,8 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .linalg import Matrix, _is_zero, det, dot, inverse, rref, solve_right
-from .slope import Slope, projectors
+from .linalg import Matrix, _is_zero, det, dot, inverse, kernel, rref, solve_right
+from .slope import Slope
 
 
 class GeometryError(Exception):
@@ -32,12 +32,17 @@ INSIDE, BOUNDARY, OUTSIDE = "inside", "boundary", "outside"
 
 def eprime_basis(s: Slope) -> Matrix:
     """(n-d) x n matrix B with B x = coordinates of pi'(x) in a fixed exact
-    basis of E'.  Cached on the slope."""
+    basis of E'.  Cached on the slope.
+
+    E' = E^perp is the kernel of the transposed generators.  The basis b0 is
+    the RREF of that kernel's basis: a row space has exactly one RREF, so b0
+    is also the RREF of the orthogonal projector pi' onto E', whose rows span
+    the same space, and B = (b0 b0^T)^-1 b0 does not depend on the spanning
+    set reduced."""
     cached = getattr(s, "_eprime_B", None)
     if cached is not None:
         return cached
-    _, pip = projectors(s)
-    red, pivots = rref(pip)
+    red, pivots = rref(Matrix(kernel(s.generators.transpose())))
     b0 = Matrix(red.rows[: len(pivots)])  # basis of the row space = E'
     b = inverse(b0 * b0.transpose()) * b0
     s._eprime_B = b

@@ -11,7 +11,6 @@ a rational Gram-Schmidt basis.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 from .numfield import FieldElem
 
@@ -101,10 +100,6 @@ def _is_zero(x):
     if isinstance(x, FieldElem):
         return x.is_zero()
     return x == 0
-
-
-def identity(n, one=Fraction(1), zero=Fraction(0)):
-    return Matrix(tuple(one if i == j else zero for j in range(n)) for i in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -217,30 +212,6 @@ def kernel(m: Matrix):
             v[pc] = -red[i, fc]
         basis.append(tuple(v))
     return basis
-
-
-def _primitive_int_vector(v):
-    """Scale a rational vector to a primitive integer vector, first nonzero > 0."""
-    from math import lcm
-
-    den = 1
-    for x in v:
-        den = lcm(den, Fraction(x).denominator)
-    ints = [int(Fraction(x) * den) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    if g:
-        ints = [x // g for x in ints]
-    lead = next((x for x in ints if x != 0), 0)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return tuple(ints)
-
-
-def kernel_rational(m: Matrix):
-    """Kernel basis of a rational matrix as primitive integer vectors."""
-    return [_primitive_int_vector(v) for v in kernel(m)]
 
 
 # ---------------------------------------------------------------------------

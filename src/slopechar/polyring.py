@@ -2,7 +2,8 @@
 
 A polynomial is a dict {exponent tuple: Fraction}; the variable names live
 beside the data (typically Grassmann symbols "G12", "G134", ...).  Kept
-minimal: arithmetic, normal forms and ordering hooks for Buchberger.
+minimal: arithmetic, evaluation, fixing variables to rationals, and the
+ordering and monomial hooks for Buchberger.
 """
 
 from __future__ import annotations
@@ -129,20 +130,20 @@ class Poly:
             return Fraction(0)
         return acc
 
-    def substitute(self, assignments):
-        """Replace variable i by a Poly for each (i, poly) in assignments."""
-        repl = dict(assignments)
-        out = Poly.zero(self.nvars)
+    def specialize(self, values):
+        """Fix variable i to the rational values[i] for each i in values: each
+        term's coefficient is multiplied by values[i]**e and its exponent e of
+        variable i is set to 0."""
+        out = {}
         for m, c in self.terms.items():
-            term = Poly.constant(self.nvars, c)
-            for i, e in enumerate(m):
-                if e == 0:
-                    continue
-                base = repl.get(i, Poly.variable(self.nvars, i))
-                for _ in range(e):
-                    term = term * base
-            out = out + term
-        return out
+            m = list(m)
+            for i, q in values.items():
+                if m[i]:
+                    c *= q ** m[i]
+                    m[i] = 0
+            m = tuple(m)
+            out[m] = out.get(m, 0) + c
+        return Poly(self.nvars, out)
 
     def pretty(self, names):
         if not self.terms:

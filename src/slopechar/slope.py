@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .numfield import FieldElem, NumberField
-from .linalg import Matrix, det, hnf, identity, inverse, kernel_rational, rank
+from .linalg import Matrix, det, hnf, kernel_int, rank
 
 
 class SlopeError(Exception):
@@ -137,27 +137,20 @@ def plucker_residuals(g: GrassmannCoords):
 def is_generic(s: Slope):
     """(True, None) iff no strict rational subspace contains the slope.
 
-    Otherwise returns (False, witness) where witness is a primitive integer
-    normal vector to the smallest rational subspace containing it.
+    A rational normal vector of the slope is an integer x orthogonal to every
+    generator, that is to every coefficient row (over the power basis of
+    Q(alpha)) of every generator.  Those x form the saturated lattice
+    kernel_int of the coefficient rows; it is empty iff the slope is generic.
+    Otherwise returns (False, witness): the first column of the HNF of that
+    lattice, a primitive integer normal vector to the smallest rational
+    subspace containing the slope, which depends on the lattice alone.
     """
     k = s.field.degree
     rows = []
     for col in s.u_columns:
         for j in range(k):
             rows.append(tuple(e.coeffs[j] for e in col))
-    m = Matrix(rows)
-    if rank(m) == s.n:
+    normals = kernel_int(Matrix(rows))
+    if not normals:
         return True, None
-    witness_basis = kernel_rational(m)
-    h = hnf(Matrix(zip(*witness_basis)))
-    return False, h.col(0)
-
-
-def projectors(s: Slope):
-    """(pi, pi_prime): exact orthogonal projectors onto E and its complement."""
-    u = s.generators
-    gram = u.transpose() * u
-    gram_inv = inverse(gram)
-    pi = u * gram_inv * u.transpose()
-    return pi, identity(s.n, s.field.one, s.field.zero) - pi
-
+    return False, hnf(Matrix(zip(*normals))).col(0)

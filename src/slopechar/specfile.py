@@ -70,10 +70,15 @@ def parse_spec(text: str) -> SlopeSpec:
     for key in ("minpoly", "root_interval", "n", "d", "generators"):
         if key not in raw:
             raise SpecError(f"missing key: {key}")
-    minpoly = tuple(_rat(c, "minpoly") for c in raw["minpoly"])
-    interval = tuple(_rat(c, "root_interval") for c in raw["root_interval"])
-    if len(interval) != 2:
-        raise SpecError("root_interval needs exactly two endpoints")
+    minpoly, interval = raw["minpoly"], raw["root_interval"]
+    if not isinstance(minpoly, list) or len(minpoly) < 2:
+        raise SpecError(f"minpoly: expected a list of at least 2 coefficients, "
+                        f"got {minpoly!r}")
+    if not isinstance(interval, list) or len(interval) != 2:
+        raise SpecError(f"root_interval: expected a list of two endpoints, "
+                        f"got {interval!r}")
+    minpoly = tuple(_rat(c, "minpoly") for c in minpoly)
+    interval = tuple(_rat(c, "root_interval") for c in interval)
     n, d = raw["n"], raw["d"]
     if not (isinstance(n, int) and isinstance(d, int) and 0 < d < n):
         raise SpecError("need integers 0 < d < n")
@@ -102,8 +107,8 @@ def parse_spec(text: str) -> SlopeSpec:
                 or not all(1 <= i <= n for i in normalization):
             raise SpecError(f"normalization must name {d} distinct axes in 1..{n}")
     seed = raw.get("seed", 0)
-    if not isinstance(seed, int):
-        raise SpecError("seed must be an integer")
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise SpecError(f"seed: expected an integer, got {seed!r}")
     return SlopeSpec(minpoly, interval, n, d, tuple(columns),
                      offset, normalization, seed)
 

@@ -207,7 +207,13 @@ def test_vanishing_normalization_exits_with_one_line(tmp_path, capsys):
 @pytest.mark.parametrize("line, message", [
     ('normalization = "G1x"', 'error: normalization: expected a name like "G12", got \'G1x\''),
     ('offset = [[0], "x"]', "error: offset: invalid rational 'x'"),
-], ids=["normalization", "offset"])
+    ("minpoly = 5", "error: minpoly: expected a list of at least 2 coefficients, got 5"),
+    ("minpoly = []", "error: minpoly: expected a list of at least 2 coefficients, got []"),
+    ('root_interval = "12"',
+     "error: root_interval: expected a list of two endpoints, got '12'"),
+    ("seed = true", "error: seed: expected an integer, got True"),
+], ids=["normalization", "offset", "minpoly_not_a_list", "minpoly_empty",
+        "root_interval_string", "seed_bool"])
 def test_bad_value_exits_with_one_line_naming_its_key(tmp_path, capsys, line, message):
     path = tmp_path / "bad.slope"
     path.write_text('minpoly = ["-2", 0, 1]\nroot_interval = ["1", "2"]\n'

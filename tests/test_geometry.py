@@ -6,7 +6,19 @@ import pytest
 from slopechar.geometry import (BOUNDARY, INSIDE, OUTSIDE, HPolytope, Window,
                                 _sgn, complementary_zonotope, eprime_basis,
                                 window)
+from slopechar.linalg import Matrix, inverse, rref
+from slopechar.numfield import NumberField
 from slopechar.patterns import _window_polygon
+from slopechar.slope import Slope
+from test_slope import projectors
+
+Q2 = NumberField([-2, 0, 1], (1, 2))
+# a quadratic 4->3 hyperplane and a quadratic 5->3 slope
+EXTRA_SLOPES = {
+    "hyper43": (4, 3, [[1, 0, 0, [0, 1]], [0, 1, 0, [1, 1]], [0, 0, 1, [0, -1]]]),
+    "slope53": (5, 3, [[1, 0, 0, [0, 1], [1, 1]], [0, 1, 0, [2, -1], [0, 1]],
+                       [0, 0, 1, [1, 0], [-1, 1]]]),
+}
 
 
 def test_window_contains_center_and_far_point(typical, ab, penrose):
@@ -89,6 +101,23 @@ def test_window_bounding_box_is_hull_of_cube_images(name, request):
     for j in range(s.n - s.d):
         assert lo[j] == min(p[j] for p in images)
         assert hi[j] == max(p[j] for p in images)
+
+
+@pytest.mark.parametrize("name", ["typical", "ab", "penrose", "quad42", "hyper43",
+                                  "slope53"])
+def test_eprime_basis_is_built_from_the_projector_row_space(name, request):
+    if name in EXTRA_SLOPES:
+        n, d, gens = EXTRA_SLOPES[name]
+        s = Slope(Q2, n, d, gens)
+    else:
+        s = request.getfixturevalue(name)
+    _, pip = projectors(s)
+    red, pivots = rref(pip)
+    b0 = Matrix(red.rows[: len(pivots)])
+    b = eprime_basis(s)
+    assert b == inverse(b0 * b0.transpose()) * b0
+    assert b.nrows == s.n - s.d
+    assert all(x.is_zero() for r in (b * s.generators).rows for x in r)
 
 
 def test_window_projects_all_cube_vertices(typical):

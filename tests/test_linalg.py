@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction as F
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -8,9 +9,36 @@ from hypothesis import strategies as st
 
 from slopechar.coincidence import coincidence_lattice, enumerate_types
 from slopechar.linalg import (DependentInput, Matrix, NotSquare, det, hnf,
-                              identity, inverse, kernel, kernel_int,
-                              kernel_rational, lll, rank, rref, solve_right)
+                              inverse, kernel, kernel_int, lll, rank, rref,
+                              solve_right)
 from slopechar.numfield import FieldElem, NumberField
+
+
+def identity(n, one=F(1), zero=F(0)):
+    return Matrix(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+
+
+def _primitive_int_vector(v):
+    """Scale a rational vector to a primitive integer vector, first nonzero > 0."""
+    den = 1
+    for x in v:
+        den = lcm(den, F(x).denominator)
+    ints = [int(F(x) * den) for x in v]
+    g = 0
+    for x in ints:
+        g = gcd(g, x)
+    if g:
+        ints = [x // g for x in ints]
+    lead = next((x for x in ints if x != 0), 0)
+    if lead < 0:
+        ints = [-x for x in ints]
+    return tuple(ints)
+
+
+def kernel_rational(m: Matrix):
+    """Kernel basis of a rational matrix as primitive integer vectors: the
+    reference for `kernel_int`."""
+    return [_primitive_int_vector(v) for v in kernel(m)]
 
 
 def perm_det(rows):

@@ -50,12 +50,29 @@ def test_evaluate_exact_and_field(typical):
     assert v == a * a - 3 * a * (a + 1) + F(1, 2)
 
 
-def test_substitute():
+def test_specialize():
     x = Poly.variable(2, 0)
     y = Poly.variable(2, 1)
-    p = x * x + y
-    q = p.substitute([(0, y + 1)])
-    assert q == y * y + 2 * y + Poly.constant(2, 1) + y
+    p = x * x * y + 3 * x - y
+    assert p.specialize({0: F(2)}) == 3 * y + Poly.constant(2, 6)
+    assert p.specialize({1: F(-1, 2)}) == F(-1, 2) * x * x + 3 * x + Poly.constant(2, F(1, 2))
+    assert p.specialize({0: 0, 1: 5}) == Poly.constant(2, -5)
+    assert p.specialize({}) == p
+
+
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.tuples(*[st.integers(0, 3)] * 3),
+                       st.integers(-5, 5), max_size=6),
+       st.lists(rationals, min_size=3, max_size=3),
+       st.sets(st.integers(0, 2)))
+def test_specialize_then_evaluate_is_evaluate(terms, point, fixed):
+    p = Poly(3, terms)
+    q = p.specialize({i: point[i] for i in fixed})
+    assert all(m[i] == 0 for m in q.terms for i in fixed)
+    assert q.evaluate(point) == p.evaluate(point)
 
 
 def test_pretty():

@@ -65,7 +65,7 @@ def test_tiles_cover_plane_without_overlap(ab):
     g = [[float(x) for x in row] for row in
          [[-1, 0], [0, 1], [1, math.sqrt(2) / 2 * 0 + math.sqrt(2)], [math.sqrt(2), 1]]]
     # simpler: every rhombus area |pi(e_i) ^ pi(e_j)| via the projector
-    from slopechar.slope import projectors
+    from test_slope import projectors
     pi, _ = projectors(ab)
     cols = [[float(pi[i, j]) for i in range(4)] for j in range(4)]
 
