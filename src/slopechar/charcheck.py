@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from .coincidence import (Degenerate, InconsistentSystem, all_equations,
                           grassmann_variables, minimize_r, realize)
+from .errors import InputError, ResourceLimit
 from .numfield import count_real_roots, poly_eval, poly_trim, rat_str
 from .polyring import (Poly, grevlex_key, monomial_div, monomial_divides,
                        monomial_lcm)
@@ -24,19 +25,6 @@ from .slope import (Slope, _perm_sign, grassmann, is_generic,
 DEGREE_CAP = 12
 BASIS_CAP = 10000
 MINPOLY_DEGREE_CAP = 8
-
-
-class CharcheckError(Exception):
-    pass
-
-
-class ResourceLimit(CharcheckError):
-    """Degree or basis-size cap exceeded during Buchberger."""
-
-
-class VanishingNormalization(CharcheckError):
-    """The requested normalization coordinate is 0 at the slope: an input
-    error of the spec, not a program fault."""
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +120,7 @@ def assemble_ideal(s: Slope, equations=None, normalize_at=None):
     norm_pos = tuples.index(tuple(normalize_at))
     if g[tuple(normalize_at)].is_zero():
         name = "G" + "".join(str(i) for i in normalize_at)
-        raise VanishingNormalization(
+        raise InputError(
             f"normalization coordinate {name} vanishes at the slope")
     nvars = len(tuples)
     polys = [e.poly for e in equations] + plucker_polys(s.n, s.d)
@@ -275,15 +263,6 @@ def _free_variables(gb, active):
     leads = [g.leading()[0] for g in gb]
     return tuple(i for i in active
                  if not any(sum(m) == m[i] and m[i] > 0 for m in leads))
-
-
-def is_zero_dimensional(gb, nvars=None, active=None):
-    """True iff every (active) variable has a pure-power leading monomial."""
-    if not gb:
-        return False
-    if active is None:
-        active = range(gb[0].nvars if nvars is None else nvars)
-    return not _free_variables(gb, active)
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +520,7 @@ def verdict(s: Slope, normalize_at=None) -> Verdict:
     exact = [g[t] for t in tuples]
     for e in eqs:
         if not e.poly.evaluate(exact).is_zero():
-            raise CharcheckError("coincidence equation fails to vanish at the slope")
+            raise RuntimeError("coincidence equation fails to vanish at the slope")
 
     t1 = time.monotonic()
     ideal, norm = assemble_ideal(s, equations=eqs, normalize_at=normalize_at)

@@ -2,9 +2,11 @@
 
 Subcommands: info, digitize, coincidences, equations, verdict, regions,
 rpatterns.  All take a slope-spec file; outputs are deterministic given the
-spec and seed.  Exit codes: 1 bad input (a parse error, an invalid spec, a
-vanishing normalization coordinate, an out-of-range argument or a pattern
-file that does not fit the slope), 2 resource limit, 3 singular offset.
+spec and seed.  Exit codes, each with one stderr line: 1 bad input
+(`InputError`: a usage error, an invalid spec, a vanishing normalization
+coordinate, an out-of-range argument or a pattern file that does not fit the
+slope; or an `OSError`), 2 `ResourceLimit`, 3 `SingularOffset`.  Any other
+exception is a program fault and propagates.
 """
 
 from __future__ import annotations
@@ -15,11 +17,9 @@ import sys
 from fractions import Fraction
 
 from . import charcheck, coincidence, patterns, specfile, tiling
-from .charcheck import ResourceLimit, VanishingNormalization
+from .errors import InputError, ResourceLimit, SingularOffset
 from .numfield import FieldElem, rat_str
 from .slope import grassmann, is_generic, plucker_residuals
-from .specfile import SpecError
-from .tiling import SingularOffset
 
 EXIT_PARSE = 1
 EXIT_RESOURCE = 2
@@ -75,16 +75,20 @@ def cmd_digitize(args):
     offset = specfile.spec_offset(spec, s)
     try:
         radius = Fraction(args.radius)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
     except ZeroDivisionError:
-        raise ValueError(f"radius {args.radius} has a zero denominator") from None
+        raise InputError(f"radius {args.radius} has a zero denominator") from None
     patch = tiling.digitize(s, offset=offset, radius=radius, seed=seed)
+    # everything that can fail runs before the first file is written
+    freqs = tiling.tile_frequencies(patch)
+    svg = tiling.render_svg(patch) if args.svg else None
     if args.json:
         with open(args.json, "w") as fh:
             fh.write(tiling.patch_json(patch) + "\n")
-    if args.svg:
+    if svg is not None:
         with open(args.svg, "w") as fh:
-            fh.write(tiling.render_svg(patch))
-    freqs = tiling.tile_frequencies(patch)
+            fh.write(svg)
     print(f"{len(patch)} faces at radius {args.radius}; "
           f"{len(freqs)} tile types")
     return 0
@@ -147,30 +151,34 @@ def cmd_verdict(args):
 
 def _pattern_from_json(doc, n):
     """The pattern of a `pattern_json` document, with every vertex in Z^n and
-    every edge direction in 1..n; ValueError otherwise."""
+    every edge direction in 1..n; InputError otherwise."""
     def point(v):
         if not (isinstance(v, list) and len(v) == n
                 and all(type(c) is int for c in v)):
-            raise ValueError(f"pattern: vertex {v!r} needs {n} integer coordinates")
+            raise InputError(f"pattern: vertex {v!r} needs {n} integer coordinates")
         return tuple(v)
 
     def direction(i):
         if type(i) is not int or not 1 <= i <= n:
-            raise ValueError(f"pattern: edge direction {i!r} is not in 1..{n}")
+            raise InputError(f"pattern: edge direction {i!r} is not in 1..{n}")
         return i
 
     try:
         edges = [(point(e["vertex"]), direction(e["direction"])) for e in doc["edges"]]
         vertices = [point(v) for v in doc.get("vertices", [])]
         return patterns.LiftedPattern(edges, vertices)
-    except (KeyError, TypeError, AttributeError, patterns.PatternError) as exc:
-        raise ValueError(f"pattern: not a pattern document ({exc!r})") from None
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise InputError(f"pattern: not a pattern document ({exc!r})") from None
 
 
 def cmd_regions(args):
     spec, s = _load(args.spec)
-    with open(args.pattern) as fh:
-        pat = _pattern_from_json(json.load(fh), s.n)
+    try:
+        with open(args.pattern, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
+        raise InputError(str(exc)) from None
+    pat = _pattern_from_json(doc, s.n)
     reg = patterns.pattern_region(s, pat)
     text = patterns.region_json(reg)
     if args.out:
@@ -200,8 +208,15 @@ def cmd_rpatterns(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is bad input: one line and exit 1, not exit 2."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="slopechar",
         description="Exact cut-and-project tilings and coincidence "
                     "characterization of slopes.")
@@ -244,20 +259,23 @@ def build_parser():
 
 
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
-    except (SpecError, VanishingNormalization, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    except (InputError, OSError) as exc:
+        return _fail(EXIT_PARSE, f"error: {exc}")
     except ResourceLimit as exc:
-        print(f"resource limit: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
+        return _fail(EXIT_RESOURCE, f"resource limit: {exc}")
     except SingularOffset as exc:
-        print(f"singular offset: {exc}; retry with a different seed or a "
-              "perturbed offset", file=sys.stderr)
-        return EXIT_SINGULAR
+        return _fail(EXIT_SINGULAR, f"singular offset: {exc}; retry with a different "
+                     "seed or a perturbed offset")
+
+
+def _fail(code, message):
+    """Print `message` as one stderr line, also where it quotes a line break
+    from the command line, and return the exit code."""
+    print(" ".join(message.splitlines()), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

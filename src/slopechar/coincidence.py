@@ -22,12 +22,9 @@ from .polyring import Poly
 from .slope import Slope, grassmann
 
 
-class CoincidenceError(Exception):
-    pass
-
-
-class InconsistentSystem(CoincidenceError):
-    pass
+class InconsistentSystem(Exception):
+    """The vector is not in the coincidence lattice: no real entries solve
+    the system."""
 
 
 class Degenerate:
@@ -55,14 +52,14 @@ class CoincidenceType:
         self.d = d
         self.subsets = tuple(tuple(sorted(sub)) for sub in subsets)
         if len(self.subsets) != n - d + 1:
-            raise CoincidenceError("need n-d+1 subsets")
+            raise ValueError("need n-d+1 subsets")
         for sub in self.subsets:
             if len(sub) != n - d - 1:
-                raise CoincidenceError("each subset must have n-d-1 positions")
+                raise ValueError("each subset must have n-d-1 positions")
             if any(not 1 <= j <= n for j in sub):
-                raise CoincidenceError("positions out of range")
+                raise ValueError("positions out of range")
         if n - d - 1 > 0 and len(set(self.subsets)) != len(self.subsets):
-            raise CoincidenceError("subsets must be pairwise distinct")
+            raise ValueError("subsets must be pairwise distinct")
 
     def canonical(self):
         return CoincidenceType(self.n, self.d, sorted(self.subsets))
@@ -149,7 +146,7 @@ def _column0(col0_coeffs, v):
 
 def _check_shape(s: Slope, t: CoincidenceType):
     if (s.n, s.d) != (t.n, t.d):
-        raise CoincidenceError("type does not match slope dimensions")
+        raise ValueError("type does not match slope dimensions")
 
 
 def integer_constraints(s: Slope, t: CoincidenceType) -> Matrix:
@@ -234,7 +231,7 @@ def realize(s: Slope, t: CoincidenceType, v):
         return Degenerate(tuple(points))
     projs = [b.apply(pt) for pt in points]
     if any(q != projs[0] for q in projs[1:]):
-        raise CoincidenceError("realized points do not project together")
+        raise ValueError("realized points do not project together")
     return Coincidence(t, tuple(points), projs[0], tuple(v))
 
 
@@ -242,65 +239,36 @@ def realize(s: Slope, t: CoincidenceType, v):
 # equations
 
 
-def _int_det(rows):
-    """Determinant of a small sparse integer matrix.
-
-    The incidence minors met here have at most two nonzeros per row, so
-    repeatedly expanding along single-nonzero rows usually collapses the
-    whole determinant; any dense remainder falls back to Bareiss.
-    """
-    n = len(rows)
-    if n == 0:
-        return 1
-    a = rows
-    act_r = list(range(n))
-    act_c = list(range(n))
-    det = 1
-    sign = 1
-    changed = True
-    while act_r and changed:
-        changed = False
-        for pos_r, ri in enumerate(act_r):
-            row = a[ri]
-            nz = [ci for ci in act_c if row[ci]]
-            if not nz:
-                return 0
-            if len(nz) == 1:
-                ci = nz[0]
-                if (pos_r + act_c.index(ci)) % 2:
-                    sign = -sign
-                det *= row[ci]
-                del act_r[pos_r]
-                act_c.remove(ci)
-                changed = True
-                break
-    if not act_r:
-        return sign * det
-    core = [[a[ri][ci] for ci in act_c] for ri in act_r]
-    return sign * det * _int_det_dense(core)
-
-
-def _int_det_dense(rows):
-    """Bareiss fraction-free determinant of a small integer matrix."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    a = [list(r) for r in rows]
-    sign = 1
+def _cofactors(rows):
+    """The column-0 cofactors (-1)^k det(rows without row k), k = 0..p, of a
+    (p+1) x p integer matrix, from one fraction-free (Bareiss) elimination of
+    [rows | I]: its last row ends as det([rows | e_k]) = (-1)^(k+p) minor_k,
+    times the sign of the row swaps.  A column without a pivot means
+    rank < p, and then every minor is 0."""
+    m = len(rows)
+    p = m - 1
+    a = [list(r) + [int(i == k) for i in range(m)] for k, r in enumerate(rows)]
+    sign = -1 if p % 2 else 1
     prev = 1
-    for k in range(n - 1):
+    for k in range(p):
         if a[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            piv = next((i for i in range(k + 1, m) if a[i][k]), None)
             if piv is None:
-                return 0
+                return [0] * m
             a[k], a[piv] = a[piv], a[k]
             sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[-1][-1]
+        pivot = a[k]
+        akk = pivot[k]
+        for row in a[k + 1:]:
+            aik = row[k]
+            if aik:
+                for j in range(k + 1, p + m):
+                    row[j] = (row[j] * akk - aik * pivot[j]) // prev
+            elif akk != prev:
+                for j in range(k + 1, p + m):
+                    row[j] = row[j] * akk // prev
+        prev = akk
+    return [sign * c for c in a[p][p:]]
 
 
 def grassmann_variables(n, d):
@@ -330,9 +298,10 @@ def _expansion_data(t: CoincidenceType):
     """Per-type Laplace data: det(M(v)) = sum over Grassmann monomials of
     (cofactor form evaluated on column 0) * monomial.
 
-    Each term's integer minor is expanded once along column 0, and the terms
-    of one monomial are summed: the forms' coefficients are the column-0
-    cofactors of M as polynomials in the Grassmann coordinates.
+    Each term's integer rows get their column-0 cofactors from one Bareiss
+    elimination (`_cofactors`), and the terms of one monomial are summed:
+    the forms' coefficients are the column-0 cofactors of M as polynomials
+    in the Grassmann coordinates.
     """
     key = (t.n, t.d, t.subsets)
     got = _EXPANSIONS.get(key)
@@ -357,11 +326,9 @@ def _expansion_data(t: CoincidenceType):
         for rset in choice:
             mono[gindex[tuple(jj + 1 for jj in rset)]] += 1
         form = forms.setdefault(tuple(mono), {})
-        for k, r in enumerate(srows):
-            minor = [a_rows[rr] for idx, rr in enumerate(srows) if idx != k]
-            cof = _int_det(minor)
+        for r, cof in zip(srows, _cofactors([a_rows[rr] for rr in srows])):
             if cof:
-                form[r] = form.get(r, 0) + (-sign if k % 2 else sign) * cof
+                form[r] = form.get(r, 0) + sign * cof
     data = []
     for mono, form in forms.items():
         form = tuple((r, c) for r, c in form.items() if c)

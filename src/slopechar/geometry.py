@@ -15,14 +15,6 @@ from .linalg import Matrix, _is_zero, det, dot, inverse, kernel, rref, solve_rig
 from .slope import Slope
 
 
-class GeometryError(Exception):
-    pass
-
-
-class DimensionTooHigh(GeometryError):
-    pass
-
-
 INSIDE, BOUNDARY, OUTSIDE = "inside", "boundary", "outside"
 
 
@@ -232,7 +224,7 @@ class HPolytope:
         if self._vertices is not None:
             return self._vertices
         if self.dim > 3:
-            raise DimensionTooHigh(f"vertex enumeration in dim {self.dim}")
+            raise ValueError(f"vertex enumeration in dim {self.dim}")
         hs = self._dedup_halfspaces()
         m = self.dim
         verts = []

@@ -15,18 +15,6 @@ from fractions import Fraction
 from .numfield import FieldElem
 
 
-class LinalgError(Exception):
-    pass
-
-
-class NotSquare(LinalgError):
-    pass
-
-
-class DependentInput(LinalgError):
-    pass
-
-
 class Matrix:
     """Immutable rectangular matrix; entries all from one field (or all Q)."""
 
@@ -35,7 +23,7 @@ class Matrix:
     def __init__(self, rows):
         rows = tuple(tuple(r) for r in rows)
         if rows and any(len(r) != len(rows[0]) for r in rows):
-            raise LinalgError("ragged rows")
+            raise ValueError("ragged rows")
         self.rows = rows
 
     @property
@@ -108,7 +96,7 @@ def _is_zero(x):
 def det(m: Matrix):
     """Exact determinant by elimination; entries form a field."""
     if m.nrows != m.ncols:
-        raise NotSquare(f"{m.nrows}x{m.ncols}")
+        raise ValueError(f"matrix is {m.nrows}x{m.ncols}, not square")
     n = m.nrows
     if n == 0:
         return Fraction(1)
@@ -179,7 +167,7 @@ def solve_right(a: Matrix, b):
 
 def inverse(m: Matrix) -> Matrix:
     if m.nrows != m.ncols:
-        raise NotSquare(f"{m.nrows}x{m.ncols}")
+        raise ValueError(f"matrix is {m.nrows}x{m.ncols}, not square")
     n = m.nrows
     # the unit of the entries' field, from the first nonzero entry
     nz = next(e for r in m.rows for e in r if not _is_zero(e))
@@ -189,7 +177,7 @@ def inverse(m: Matrix) -> Matrix:
                  for i in range(n))
     red, pivots = rref(aug)
     if pivots != list(range(n)):
-        raise LinalgError("singular matrix")
+        raise ZeroDivisionError("singular matrix")
     return Matrix(tuple(red.rows[i][n:]) for i in range(n))
 
 
@@ -312,7 +300,7 @@ def lll(basis, delta=Fraction(3, 4)):
             if j < i:
                 lam[i][j] = u
             elif u == 0:
-                raise DependentInput("input vectors are linearly dependent")
+                raise ValueError("input vectors are linearly dependent")
             else:
                 d[i + 1] = u
 

@@ -23,29 +23,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-
-class FieldError(Exception):
-    pass
-
-
-class ReducibleMinpoly(FieldError):
-    pass
-
-
-class NoRootInInterval(FieldError):
-    pass
-
-
-class MultipleRootsInInterval(FieldError):
-    pass
-
-
-class DivisionByZero(FieldError):
-    pass
-
-
-class FieldMismatch(FieldError):
-    pass
+from .errors import InputError
 
 
 Rat = Fraction
@@ -223,30 +201,30 @@ class NumberField:
         given = [_rat(c) for c in minpoly]
         coeffs = poly_trim(given)
         if len(coeffs) < 2:
-            raise FieldError("minpoly must be nonconstant")
+            raise InputError("minpoly must be nonconstant")
         lc = coeffs[-1]
         self.minpoly: tuple[Fraction, ...] = tuple(c / lc for c in coeffs)
         self.degree: int = len(self.minpoly) - 1
         if not is_irreducible(self.minpoly):
             # in the spec's own notation: ["-4", "0", "1"]
             text = ", ".join(f'"{c}"' for c in given)
-            raise ReducibleMinpoly(f"minpoly [{text}] is reducible over Q")
+            raise InputError(f"minpoly [{text}] is reducible over Q")
         lo, hi = _rat(root_interval[0]), _rat(root_interval[1])
         if not lo < hi:
-            raise FieldError("root_interval must satisfy lo < hi")
+            raise InputError("root_interval must satisfy lo < hi")
         if self.degree == 1:
             root = -self.minpoly[0]
             if not (lo <= root <= hi):
-                raise NoRootInInterval(f"{root} not in [{lo}, {hi}]")
+                raise InputError(f"{root} not in [{lo}, {hi}]")
             self._lo = self._hi = root
         else:
             nroots = count_real_roots(self.minpoly, lo, hi)
             if poly_eval(self.minpoly, lo) == 0:
                 nroots += 1
             if nroots == 0:
-                raise NoRootInInterval(f"no real root in [{lo}, {hi}]")
+                raise InputError(f"no real root in [{lo}, {hi}]")
             if nroots > 1:
-                raise MultipleRootsInInterval(f"{nroots} roots in [{lo}, {hi}]")
+                raise InputError(f"{nroots} roots in [{lo}, {hi}]")
             # shrink until the endpoints straddle the root strictly
             while poly_eval(self.minpoly, lo) == 0 or poly_eval(self.minpoly, hi) == 0 \
                     or (poly_eval(self.minpoly, lo) > 0) == (poly_eval(self.minpoly, hi) > 0):
@@ -426,7 +404,7 @@ class FieldElem:
     def _coerce(self, other):
         if isinstance(other, FieldElem):
             if other.field is not self.field and other.field != self.field:
-                raise FieldMismatch("elements of different fields")
+                raise ValueError("elements of different fields")
             return other
         if isinstance(other, (int, Fraction)):
             return self.field.from_rational(other)
@@ -476,7 +454,7 @@ class FieldElem:
 
     def inverse(self) -> "FieldElem":
         if self.is_zero():
-            raise DivisionByZero("inverse of zero")
+            raise ZeroDivisionError("inverse of zero")
         # extended Euclid: s*self + t*minpoly = gcd = const
         r0, r1 = list(self.field.minpoly), poly_trim(self.coeffs)
         s0, s1 = [], [Fraction(1)]
@@ -498,7 +476,7 @@ class FieldElem:
             return self * o.inverse()
         # a rational divisor scales the coefficients: no extended Euclid
         if o.is_zero():
-            raise DivisionByZero("division by zero")
+            raise ZeroDivisionError("division by zero")
         return self._scaled(1 / o.coeffs[0])
 
     def __rtruediv__(self, other):

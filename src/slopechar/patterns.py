@@ -13,22 +13,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 
+from .errors import InputError
 from .geometry import HPolytope, Window, _sgn, eprime_basis, window
 from .linalg import _is_zero, dot
 from .slope import Slope
 from .tiling import LatticeMembership
 
 
-class PatternError(Exception):
-    pass
-
-
-class SingularPoint(PatternError):
+class SingularPoint(Exception):
     """The query point is tight against some translated window boundary."""
 
 
-class NotFoldable(PatternError):
-    pass
+class NotFoldable(Exception):
+    """No reordering of the path's steps keeps every prefix in the window."""
 
 
 class LiftedPattern:
@@ -45,7 +42,7 @@ class LiftedPattern:
         if vertices is not None:
             verts.update(tuple(v) for v in vertices)
         if not verts:
-            raise PatternError("pattern has no vertices")
+            raise InputError("pattern has no vertices")
         self._vertices = frozenset(verts)
 
     def vertices(self):
@@ -91,7 +88,7 @@ def edge_between(u, v):
     diff = [b - a for a, b in zip(u, v)]
     nz = [j for j, x in enumerate(diff) if x]
     if len(nz) != 1 or abs(diff[nz[0]]) != 1:
-        raise PatternError(f"{u} and {v} are not adjacent lattice points")
+        raise ValueError(f"{u} and {v} are not adjacent lattice points")
     i = nz[0]
     return (u, i + 1) if diff[i] == 1 else (v, i + 1)
 
@@ -371,9 +368,9 @@ def enumerate_r_patterns(s: Slope, r: int, samples: int = 200, seed: int = 0) ->
     randomized sampling and the result is a lower bound (complete=False).
     """
     if r < 0:
-        raise ValueError(f"r must be >= 0, got {r}")
+        raise InputError(f"r must be >= 0, got {r}")
     if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+        raise InputError(f"samples must be >= 1, got {samples}")
     m = s.n - s.d
     w = window(s)
     if m == 2:

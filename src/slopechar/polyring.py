@@ -40,11 +40,6 @@ class Poly:
     def constant(cls, nvars, c):
         return cls(nvars, {(0,) * nvars: Fraction(c)})
 
-    @classmethod
-    def variable(cls, nvars, i):
-        mono = tuple(1 if j == i else 0 for j in range(nvars))
-        return cls(nvars, {mono: Fraction(1)})
-
     def is_zero(self):
         return not self.terms
 

@@ -10,12 +10,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
+from .errors import InputError
 from .numfield import FieldElem, NumberField
 from .linalg import Matrix, det, hnf, kernel_int, rank
-
-
-class SlopeError(Exception):
-    pass
 
 
 class Slope:
@@ -23,20 +20,20 @@ class Slope:
 
     def __init__(self, field: NumberField, n: int, d: int, generators):
         if not n > d >= 1:
-            raise SlopeError(f"need n > d >= 1, got n={n}, d={d}")
+            raise InputError(f"need n > d >= 1, got n={n}, d={d}")
         self.field = field
         self.n = n
         self.d = d
         cols = []
         for col in generators:
             if len(col) != n:
-                raise SlopeError("generator length != n")
+                raise InputError("generator length != n")
             cols.append(tuple(_to_elem(field, e) for e in col))
         if len(cols) != d:
-            raise SlopeError("need exactly d generators")
+            raise InputError("need exactly d generators")
         self.generators = Matrix(zip(*cols))  # n x d
         if rank(self.generators) != d:
-            raise SlopeError("generators are not linearly independent")
+            raise InputError("generators are not linearly independent")
 
     @property
     def u_columns(self):
@@ -62,7 +59,7 @@ class GrassmannCoords:
         self.d = d
         self.values = dict(values)
         if all(v.is_zero() for v in self.values.values()):
-            raise SlopeError("all Grassmann coordinates are zero")
+            raise InputError("all Grassmann coordinates are zero")
         self._field = next(iter(values.values())).field
 
     @property

@@ -12,12 +12,9 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .numfield import FieldError, NumberField, rat_str
-from .slope import Slope, SlopeError
-
-
-class SpecError(Exception):
-    pass
+from .errors import InputError
+from .numfield import NumberField, rat_str
+from .slope import Slope
 
 
 @dataclass
@@ -32,16 +29,23 @@ class SlopeSpec:
     seed: int = 0
 
 
+def _int(v, key) -> int:
+    """The integer value v of `key`; a JSON true or false is not one."""
+    if type(v) is not int:
+        raise InputError(f"{key}: expected an integer, got {v!r}")
+    return v
+
+
 def _rat(v, key) -> Fraction:
     """The rational value v of `key`: an integer or a "p/q" string."""
-    if isinstance(v, int):
+    if type(v) is int:
         return Fraction(v)
     if not isinstance(v, str):
-        raise SpecError(f"{key}: expected integer or 'p/q' string, got {v!r}")
+        raise InputError(f"{key}: expected integer or 'p/q' string, got {v!r}")
     try:
         return Fraction(v)
     except (ValueError, ZeroDivisionError):
-        raise SpecError(f"{key}: invalid rational {v!r}") from None
+        raise InputError(f"{key}: invalid rational {v!r}") from None
 
 
 def _entry(v, k, key):
@@ -49,7 +53,7 @@ def _entry(v, k, key):
         v = [v]
     coeffs = [_rat(c, key) for c in v]
     if len(coeffs) > k:
-        raise SpecError(f"{key}: entry {v!r} has more than {k} coefficients")
+        raise InputError(f"{key}: entry {v!r} has more than {k} coefficients")
     return tuple(coeffs + [Fraction(0)] * (k - len(coeffs)))
 
 
@@ -60,74 +64,80 @@ def parse_spec(text: str) -> SlopeSpec:
         if not line:
             continue
         if "=" not in line:
-            raise SpecError(f"line {lineno}: expected 'key = value'")
+            raise InputError(f"line {lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key = key.strip()
         try:
             raw[key] = json.loads(value.strip())
-        except json.JSONDecodeError as exc:
-            raise SpecError(f"line {lineno}: bad value for {key}: {exc}") from exc
+        except (ValueError, RecursionError) as exc:  # also too many digits, too deep
+            raise InputError(f"line {lineno}: bad value for {key}: {exc}") from exc
     for key in ("minpoly", "root_interval", "n", "d", "generators"):
         if key not in raw:
-            raise SpecError(f"missing key: {key}")
+            raise InputError(f"missing key: {key}")
     minpoly, interval = raw["minpoly"], raw["root_interval"]
     if not isinstance(minpoly, list) or len(minpoly) < 2:
-        raise SpecError(f"minpoly: expected a list of at least 2 coefficients, "
-                        f"got {minpoly!r}")
+        raise InputError(f"minpoly: expected a list of at least 2 coefficients, "
+                         f"got {minpoly!r}")
     if not isinstance(interval, list) or len(interval) != 2:
-        raise SpecError(f"root_interval: expected a list of two endpoints, "
-                        f"got {interval!r}")
+        raise InputError(f"root_interval: expected a list of two endpoints, "
+                         f"got {interval!r}")
     minpoly = tuple(_rat(c, "minpoly") for c in minpoly)
     interval = tuple(_rat(c, "root_interval") for c in interval)
-    n, d = raw["n"], raw["d"]
-    if not (isinstance(n, int) and isinstance(d, int) and 0 < d < n):
-        raise SpecError("need integers 0 < d < n")
+    n, d = _int(raw["n"], "n"), _int(raw["d"], "d")
+    if not 0 < d < n:
+        raise InputError("need integers 0 < d < n")
     k = len(minpoly) - 1
     gens = raw["generators"]
     if not isinstance(gens, list) or len(gens) != d:
-        raise SpecError(f"generators must list {d} vectors")
+        raise InputError(f"generators must list {d} vectors")
     columns = []
     for g in gens:
         if not isinstance(g, list) or len(g) != n:
-            raise SpecError(f"each generator needs {n} entries")
+            raise InputError(f"each generator needs {n} entries")
         columns.append(tuple(_entry(e, k, "generators") for e in g))
     offset = raw.get("offset")
     if offset is not None and offset != "integral-sum":
         if not isinstance(offset, list) or len(offset) != n - d:
-            raise SpecError(f"offset needs {n - d} entries or 'integral-sum'")
+            raise InputError(f"offset needs {n - d} entries or 'integral-sum'")
         offset = tuple(_entry(e, k, "offset") for e in offset)
     normalization = raw.get("normalization")
     if normalization is not None:
         if not (isinstance(normalization, str) and normalization.startswith("G")
                 and normalization[1:].isdecimal()):
-            raise SpecError(f"normalization: expected a name like \"G12\", "
-                            f"got {normalization!r}")
-        normalization = tuple(int(c) for c in normalization[1:])
-        if len(normalization) != d or len(set(normalization)) != d \
-                or not all(1 <= i <= n for i in normalization):
-            raise SpecError(f"normalization must name {d} distinct axes in 1..{n}")
-    seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise SpecError(f"seed: expected an integer, got {seed!r}")
+            raise InputError(f"normalization: expected a name like \"G12\", "
+                             f"got {normalization!r}")
+        axes = tuple(int(c) for c in normalization[1:])
+        # a Grassmann coordinate is indexed by ascending axes; swapping two
+        # axes would flip its sign, so the name is not reordered
+        if len(axes) != d or not all(1 <= i <= n for i in axes) \
+                or any(i >= j for i, j in zip(axes, axes[1:])):
+            raise InputError(f"normalization must name {d} ascending axes in 1..{n}, "
+                             f"got {normalization!r}")
+        normalization = axes
+    seed = _int(raw.get("seed", 0), "seed")
     return SlopeSpec(minpoly, interval, n, d, tuple(columns),
                      offset, normalization, seed)
 
 
 def load_spec(path) -> SlopeSpec:
-    with open(path) as fh:
-        return parse_spec(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise InputError(str(exc)) from None
+    return parse_spec(text)
 
 
 def to_slope(spec: SlopeSpec) -> Slope:
     try:
         field = NumberField(list(spec.minpoly), spec.root_interval)
-    except FieldError as exc:
-        raise SpecError(f"minpoly and root_interval: {exc}") from exc
+    except InputError as exc:
+        raise InputError(f"minpoly and root_interval: {exc}") from exc
     gens = [[list(e) for e in col] for col in spec.generators]
     try:
         return Slope(field, spec.n, spec.d, gens)
-    except SlopeError as exc:
-        raise SpecError(f"generators: {exc}") from exc
+    except InputError as exc:
+        raise InputError(f"generators: {exc}") from exc
 
 
 def spec_offset(spec: SlopeSpec, slope: Slope):

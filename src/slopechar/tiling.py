@@ -17,25 +17,10 @@ from fractions import Fraction
 from itertools import combinations
 from operator import mul
 
+from .errors import InputError, SingularOffset
 from .geometry import Window, complementary_zonotope, eprime_basis, window
 from .linalg import dot, solve_right
 from .slope import Slope
-
-
-class TilingError(Exception):
-    pass
-
-
-class SingularOffset(TilingError):
-    """Some lattice point projects exactly onto the window boundary."""
-
-
-class EmptyPatch(TilingError):
-    pass
-
-
-class UnsupportedDimension(TilingError):
-    pass
 
 
 @dataclass(frozen=True, order=True)
@@ -188,7 +173,7 @@ def integral_sum_offset(s: Slope):
     bdelta = b.apply(delta)
     lam = solve_right(b.transpose(), [field.from_rational(Fraction(1))] * n)
     if lam is None:
-        raise TilingError("(1,...,1) is not orthogonal to the slope")
+        raise InputError("integral-sum offset: (1,...,1) is not orthogonal to the slope")
 
     def lam_of(y):
         return sum((lam[j] * y[j] for j in range(len(y))), start=field.zero)
@@ -209,7 +194,7 @@ def integral_sum_offset(s: Slope):
 def digitize(s: Slope, offset=None, radius=Fraction(10), seed=0) -> Patch:
     """Patch of all faces in-window whose projection meets the radius ball."""
     if radius < 0:
-        raise ValueError(f"radius must be >= 0, got {radius}")
+        raise InputError(f"radius must be >= 0, got {radius}")
     attempts = 8 if offset is None else 1
     last = None
     for attempt in range(attempts):
@@ -300,7 +285,7 @@ def _find_seed(member: LatticeMembership, n):
                 if st > 0:
                     return nb
                 frontier.append(nb)
-    raise TilingError("could not find a lattice point projecting in the window")
+    raise InputError("could not find a lattice point projecting in the window")
 
 
 def face_selected_by_anchor(s: Slope, face: Face, offset) -> bool:
@@ -320,7 +305,7 @@ def face_selected_by_anchor(s: Slope, face: Face, offset) -> bool:
 def tile_frequencies(p: Patch):
     """Relative frequency of each direction tuple among the patch's tiles."""
     if not p.faces:
-        raise EmptyPatch("no faces in patch")
+        raise InputError("no faces in patch")
     counts = Counter(f.directions for f in p.faces)
     total = sum(counts.values())
     return {dirs: Fraction(c, total) for dirs, c in sorted(counts.items())}
@@ -333,7 +318,7 @@ _PALETTE = ["#4878a8", "#e49444", "#5ba053", "#d1605e", "#857aab",
 def render_svg(p: Patch) -> str:
     """Deterministic SVG 1.1 document, one polygon per tile (d = 2 only)."""
     if p.slope.d != 2:
-        raise UnsupportedDimension("SVG rendering needs d = 2")
+        raise InputError("SVG rendering needs d = 2")
     basis = _float_pi_basis(p.slope)
     n = p.slope.n
     unit_pi = [_pi_coords(basis, [1.0 if j == i else 0.0 for j in range(n)])

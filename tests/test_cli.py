@@ -1,9 +1,14 @@
+import contextlib
 import hashlib
+import io
 import json
+import sys
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slopechar import charcheck, cli
 
@@ -212,8 +217,22 @@ def test_vanishing_normalization_exits_with_one_line(tmp_path, capsys):
     ('root_interval = "12"',
      "error: root_interval: expected a list of two endpoints, got '12'"),
     ("seed = true", "error: seed: expected an integer, got True"),
+    ("d = true", "error: d: expected an integer, got True"),
+    ("n = false", "error: n: expected an integer, got False"),
+    ("generators = [[1, 0, [0, true], 1], [0, 1, 1, [0, 1]]]",
+     "error: generators: expected integer or 'p/q' string, got True"),
+    ('minpoly = ["-2", false, true]',
+     "error: minpoly: expected integer or 'p/q' string, got False"),
+    ('normalization = "G21"',
+     "error: normalization must name 2 ascending axes in 1..4, got 'G21'"),
+    ('normalization = "G11"',
+     "error: normalization must name 2 ascending axes in 1..4, got 'G11'"),
+    ('normalization = "G15"',
+     "error: normalization must name 2 ascending axes in 1..4, got 'G15'"),
 ], ids=["normalization", "offset", "minpoly_not_a_list", "minpoly_empty",
-        "root_interval_string", "seed_bool"])
+        "root_interval_string", "seed_bool", "d_bool", "n_bool", "generator_entry_bool",
+        "minpoly_bool", "normalization_not_ascending", "normalization_repeated_axis",
+        "normalization_axis_above_n"])
 def test_bad_value_exits_with_one_line_naming_its_key(tmp_path, capsys, line, message):
     path = tmp_path / "bad.slope"
     path.write_text('minpoly = ["-2", 0, 1]\nroot_interval = ["1", "2"]\n'
@@ -226,9 +245,9 @@ def test_coincidence_fault_stays_visible(monkeypatch):
     # a program fault inside verdict is not an input error: it is not
     # mapped to an exit code
     def boom(*a, **k):
-        raise charcheck.CharcheckError("coincidence equation fails to vanish")
+        raise ValueError("coincidence equation fails to vanish")
     monkeypatch.setattr(charcheck, "verdict", boom)
-    with pytest.raises(charcheck.CharcheckError):
+    with pytest.raises(ValueError, match="fails to vanish"):
         cli.main(["verdict", TYPICAL])
 
 
@@ -276,3 +295,179 @@ def test_regions_rejects_a_pattern_off_the_lattice(tmp_path, capsys, edge, verti
     assert captured.err.splitlines() == [message]
     assert not captured.out
     assert not out.exists()
+
+
+FIVE_THREE = ('minpoly = ["-2", 0, 1]\nroot_interval = ["1", "2"]\nn = 5\nd = 3\n'
+              "generators = [[1, [0, 1], 2, [1, 1], 3], [0, 1, [0, 1], 2, 5], "
+              "[1, 0, 0, 1, [0, 3]]]\n")
+
+
+@pytest.mark.parametrize("spec, args, message", [
+    (Path(TYPICAL).read_text() + 'offset = "integral-sum"\n', ["--radius", "3"],
+     "error: integral-sum offset: (1,...,1) is not orthogonal to the slope"),
+    (FIVE_THREE, ["--radius", "3", "--svg", "{tmp}/patch.svg"],
+     "error: SVG rendering needs d = 2"),
+    # no lattice point projects to 0, the only point of a radius-0 ball, at
+    # this offset
+    (Path(AB).read_text() + 'offset = ["2/3", "5/7"]\n', ["--radius", "0"],
+     "error: no faces in patch"),
+    (Path(AB).read_text(), ["--radius", "abc"], "error: Invalid literal for Fraction: 'abc'"),
+], ids=["integral_sum_not_orthogonal", "svg_needs_d2", "empty_patch", "radius_not_rational"])
+def test_digitize_bad_input_exits_with_one_line(tmp_path, capsys, spec, args, message):
+    path = tmp_path / "in.slope"
+    path.write_text(spec)
+    out = tmp_path / "patch.json"
+    argv = ["digitize", str(path)] + [a.format(tmp=tmp_path) for a in args]
+    assert cli.main(argv + ["--json", str(out)]) == cli.EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [message]
+    assert not captured.out
+    assert not out.exists() and not (tmp_path / "patch.svg").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["rpatterns", TYPICAL, "--r", "abc"], "error: argument --r: invalid int value: 'abc'"),
+    (["bogus", TYPICAL], "error: argument command: invalid choice: 'bogus' (choose from "
+     "'info', 'digitize', 'coincidences', 'equations', 'verdict', 'regions', 'rpatterns')"),
+    (["regions", AB], "error: the following arguments are required: --pattern"),
+    ([], "error: the following arguments are required: command"),
+    (["info", TYPICAL, "x\ny"], "error: unrecognized arguments: x y"),
+], ids=["bad_int", "unknown_subcommand", "missing_option", "no_subcommand",
+        "line_break_in_argument"])
+def test_usage_error_exits_with_one_line(capsys, argv, message):
+    assert cli.main(argv) == cli.EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [message]
+    assert not captured.out
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["rpatterns", "--help"])
+    assert exc.value.code == 0
+    assert "--samples" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("kind, content, message", [
+    ("spec", b"\xff\xfe", "error: 'utf-8' codec can't decode byte 0xff in position 0: "
+     "invalid start byte"),
+    ("pattern", b"\xff\xfe", "error: 'utf-8' codec can't decode byte 0xff in position 0: "
+     "invalid start byte"),
+    ("pattern", b"{oops", "error: Expecting property name enclosed in double quotes: "
+     "line 1 column 2 (char 1)"),
+    ("pattern", b'{"edges": []}', "error: pattern has no vertices"),
+], ids=["spec_not_utf8", "pattern_not_utf8", "pattern_not_json", "pattern_empty"])
+def test_bad_file_exits_with_one_line(tmp_path, capsys, kind, content, message):
+    bad = tmp_path / "bad"
+    bad.write_bytes(content)
+    if kind == "spec":
+        argv = ["info", str(bad)]
+    else:
+        argv = ["regions", AB, "--pattern", str(bad)]
+    assert cli.main(argv) == cli.EXIT_PARSE
+    assert capsys.readouterr().err.splitlines() == [message]
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no limit on the digits of an integer")
+def test_overlong_integer_exits_with_one_line(tmp_path, capsys):
+    # json.loads raises a plain ValueError, not a JSONDecodeError, for an
+    # integer past the interpreter's digit limit
+    path = tmp_path / "long.slope"
+    path.write_text(Path(AB).read_text() + "seed = 1" + "0" * 5000 + "\n")
+    assert cli.main(["info", str(path)]) == cli.EXIT_PARSE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: line 7: bad value for seed: ")
+
+
+# --- corrupted specs and arguments through every subcommand ---------------
+
+SPEC_KEYS = ("minpoly", "root_interval", "n", "d", "generators", "offset",
+             "normalization", "seed")
+# small values only: an offset far from the window searches up to 2 million
+# lattice points (about 23 s), and a large radius or r is a large computation
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-3, 3)
+    | st.sampled_from(["1/2", "-3/4", "1/0", "x", "", "G12", "G21", "integral-sum"]),
+    lambda inner: st.lists(inner, max_size=4), max_leaves=10)
+# no decimal digits: a number spelled in them could be a large radius or r
+JUNK_TEXT = st.text(st.characters(blacklist_categories=("Cs", "Nd")), max_size=5)
+JUNK_ARG = st.integers(-3, 2).map(str) | JUNK_TEXT | st.sampled_from(["1/0", "1/-2", "0.5"])
+PATTERN_DOCS = st.fixed_dictionaries({
+    "edges": st.lists(st.fixed_dictionaries({
+        "vertex": st.lists(st.integers(-2, 2), min_size=3, max_size=5),
+        "direction": st.integers(-1, 5)}), max_size=3),
+    "vertices": st.lists(st.lists(st.integers(-2, 2), max_size=5), max_size=2)})
+PATTERN_FILES = (st.binary(max_size=12) | JSON_VALUES.map(lambda v: json.dumps(v).encode())
+                 | PATTERN_DOCS.map(lambda v: json.dumps(v).encode()))
+DEFAULT_ARGS = {
+    "info": {}, "coincidences": {}, "equations": {}, "verdict": {},
+    "digitize": {"--radius": "2"},
+    "regions": {"--pattern": None},
+    "rpatterns": {"--r": "0", "--samples": "5"},
+}
+
+
+def _corruptions(command):
+    # junk for the command's own options; a command without any gets one of
+    # the others, a usage error
+    flags = [f for f in DEFAULT_ARGS[command] if f != "--pattern"] \
+        or ["--radius", "--r", "--samples"]
+    kinds = [
+        st.tuples(st.just("replace"), st.sampled_from(SPEC_KEYS),
+                  JSON_VALUES.map(json.dumps)),
+        st.tuples(st.just("drop"), st.sampled_from(SPEC_KEYS)),
+        st.tuples(st.just("line"),
+                  st.sampled_from(["x", "n =", "d = [1", "= 3", "seed = 1 2"]) | JUNK_TEXT),
+        st.tuples(st.just("arg"), st.sampled_from(flags), JUNK_ARG),
+    ]
+    if command == "regions":
+        kinds.append(st.tuples(st.just("pattern"), PATTERN_FILES))
+    return st.one_of(kinds)
+
+
+COMMANDS = st.sampled_from(sorted(DEFAULT_ARGS)).flatmap(
+    lambda c: st.tuples(st.just(c), st.lists(_corruptions(c), min_size=1, max_size=2)))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    (d / "pattern.json").write_text(json.dumps(
+        {"edges": [{"vertex": [0, 0, 0, 0], "direction": 1}]}))
+    return d
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(base=st.sampled_from([AB, TYPICAL]), drawn=COMMANDS)
+def test_corrupted_input_ends_in_an_exit_code(fuzz_dir, base, drawn):
+    # every bad input ends in exit code 1-3 and one stderr line, never in
+    # an exception
+    command, corruptions = drawn
+    lines = Path(base).read_text().splitlines()
+    args = dict(DEFAULT_ARGS[command])
+    if "--pattern" in args:
+        args["--pattern"] = str(fuzz_dir / "pattern.json")
+    for c in corruptions:
+        if c[0] == "replace":
+            lines = [l for l in lines if not l.startswith(c[1] + " ")]
+            lines.append(f"{c[1]} = {c[2]}")
+        elif c[0] == "drop":
+            lines = [l for l in lines if not l.startswith(c[1] + " ")]
+        elif c[0] == "line":
+            lines.insert(len(lines) // 2, c[1])
+        elif c[0] == "arg":
+            args[c[1]] = c[2]
+        else:
+            (fuzz_dir / "junk.json").write_bytes(c[1])
+            args["--pattern"] = str(fuzz_dir / "junk.json")
+    spec = fuzz_dir / "in.slope"
+    spec.write_text("\n".join(lines) + "\n")
+    argv = [command, str(spec)] + [x for kv in args.items() for x in kv]
+    argv += ["--out" if command == "regions" else "--json", str(fuzz_dir / "out.json")]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(argv)
+    assert rc in (0, 1, 2, 3)
+    if rc:
+        assert len(err.getvalue().splitlines()) == 1, err.getvalue()

@@ -227,6 +227,31 @@ def test_rank_deficient_type():
     assert {"Degenerate", "Coincidence"} <= outcomes
 
 
+def test_bareiss_cofactors_match_minor_determinants():
+    """Each column-0 cofactor from the one Bareiss elimination is
+    (-1)^k det(rows without row k), rank-deficient matrices included."""
+    rng = random.Random(14)
+    deficient = 0
+    for _ in range(300):
+        p = rng.randint(0, 8)
+        # at most two nonzeros, each +-1, per row, as in an incidence matrix
+        rows = [[0] * p for _ in range(p + 1)]
+        for row in rows:
+            for j in rng.sample(range(p), min(p, rng.randint(0, 2))):
+                row[j] = rng.choice((1, -1))
+        if p >= 2 and rng.random() < 0.3:
+            j, k = rng.sample(range(p), 2)
+            for row in rows:
+                row[k] = -row[j]
+        expected = [(-1) ** k * det(Matrix([[F(x) for x in r]
+                                            for i, r in enumerate(rows) if i != k]))
+                    if p else 1
+                    for k in range(p + 1)]
+        deficient += not any(expected)
+        assert coincidence._cofactors(rows) == expected
+    assert deficient > 50
+
+
 def test_equation_of_cold_and_warm_cache(typical, ab):
     """The expansion data is shared by every slope of a shape: equations of
     two 4->2 slopes come out the same whichever slope filled the cache."""

@@ -8,9 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from slopechar.coincidence import coincidence_lattice, enumerate_types
-from slopechar.linalg import (DependentInput, Matrix, NotSquare, det, hnf,
-                              inverse, kernel, kernel_int, lll, rank, rref,
-                              solve_right)
+from slopechar.linalg import (Matrix, det, hnf, inverse, kernel, kernel_int, lll,
+                              rank, rref, solve_right)
 from slopechar.numfield import FieldElem, NumberField
 
 
@@ -73,7 +72,7 @@ def test_det_oracle():
 
 
 def test_det_not_square():
-    with pytest.raises(NotSquare):
+    with pytest.raises(ValueError, match="not square"):
         det(Matrix([[F(1), F(2)]]))
 
 
@@ -197,11 +196,11 @@ def test_lll_reduced_and_same_lattice():
 
 
 def test_lll_dependent_input():
-    with pytest.raises(DependentInput):
+    with pytest.raises(ValueError, match="linearly dependent"):
         lll([[1, 2], [2, 4]])
-    with pytest.raises(DependentInput):
+    with pytest.raises(ValueError, match="linearly dependent"):
         lll([[1, 2, 3], [0, 0, 0], [4, 5, 6]])
-    with pytest.raises(DependentInput):
+    with pytest.raises(ValueError, match="linearly dependent"):
         lll([[1, 0, 2], [0, 1, 1], [1, 1, 3]])
 
 

@@ -8,9 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slopechar import numfield
-from slopechar.numfield import (FieldElem, MultipleRootsInInterval,
-                                NoRootInInterval, NumberField,
-                                ReducibleMinpoly, count_real_roots,
+from slopechar.errors import InputError
+from slopechar.numfield import (FieldElem, NumberField, count_real_roots,
                                 is_irreducible, poly_eval)
 
 
@@ -23,11 +22,11 @@ def cubic():
 
 
 def test_root_bracketing_errors():
-    with pytest.raises(NoRootInInterval):
+    with pytest.raises(InputError, match="no real root"):
         NumberField([-2, 0, 1], (F(2), F(3)))
-    with pytest.raises(MultipleRootsInInterval):
+    with pytest.raises(InputError, match="2 roots"):
         NumberField([-2, 0, 1], (F(-2), F(2)))
-    with pytest.raises(ReducibleMinpoly):
+    with pytest.raises(InputError, match="reducible"):
         NumberField([-1, 0, 1], (F(0), F(2)))  # x^2 - 1 = (x-1)(x+1)
 
 
@@ -318,7 +317,7 @@ def test_rational_divisor_takes_no_inverse(monkeypatch):
     assert (1 / f.from_rational(F(2, 5))) == f.from_rational(F(5, 2))
     assert (x / f.from_rational(-2)) == x * F(-1, 2)
     for zero in (0, F(0), f.zero):
-        with pytest.raises(numfield.DivisionByZero):
+        with pytest.raises(ZeroDivisionError):
             x / zero
-    with pytest.raises(numfield.DivisionByZero):
+    with pytest.raises(ZeroDivisionError):
         1 / f.zero

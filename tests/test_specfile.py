@@ -3,8 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from slopechar.specfile import (SlopeSpec, SpecError, load_spec, parse_spec,
-                                serialize, spec_offset, to_slope)
+from slopechar.errors import InputError
+from slopechar.specfile import (SlopeSpec, load_spec, parse_spec, serialize,
+                                spec_offset, to_slope)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -77,13 +78,13 @@ def test_parse_errors(mutation):
     lines = [l for l in GOOD.splitlines() if key is None or
              not l.startswith(key + " ")]
     lines.append(mutation)
-    with pytest.raises(SpecError):
+    with pytest.raises(InputError):
         parse_spec("\n".join(lines))
 
 
 def test_missing_key_rejected():
     text = "\n".join(l for l in GOOD.splitlines() if not l.startswith("n ="))
-    with pytest.raises(SpecError, match="missing key"):
+    with pytest.raises(InputError, match="missing key"):
         parse_spec(text)
 
 

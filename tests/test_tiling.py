@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from slopechar.errors import InputError
 from slopechar.geometry import (BOUNDARY, INSIDE, complementary_zonotope,
                                 eprime_basis, window)
 from slopechar.slope import Slope
@@ -128,8 +129,7 @@ def test_integral_sum_offset_penrose(penrose):
 
 
 def test_integral_sum_offset_needs_orthogonality(typical):
-    from slopechar.tiling import TilingError
-    with pytest.raises(TilingError):
+    with pytest.raises(InputError, match="not orthogonal"):
         integral_sum_offset(typical)
 
 
