@@ -17,7 +17,7 @@ from math import prod
 
 from .geometry import eprime_basis
 from .linalg import Matrix, kernel_int, lll, solve_right
-from .numfield import FieldElem
+from .numfield import FieldElem, _cofactors
 from .polyring import Poly
 from .slope import Slope, grassmann
 
@@ -177,9 +177,8 @@ def integer_constraints(s: Slope, t: CoincidenceType) -> Matrix:
     for coeffs, c in zip(col0, cofs):
         m = c * inv
         for ai, sign in coeffs.items():
-            e = m * sign
             for tdeg in range(k):
-                rows[tdeg][ai] += e.coeffs[tdeg]
+                rows[tdeg][ai] += Fraction(sign * m.num[tdeg], m.den)
     return Matrix(rows)
 
 
@@ -237,38 +236,6 @@ def realize(s: Slope, t: CoincidenceType, v):
 
 # ---------------------------------------------------------------------------
 # equations
-
-
-def _cofactors(rows):
-    """The column-0 cofactors (-1)^k det(rows without row k), k = 0..p, of a
-    (p+1) x p integer matrix, from one fraction-free (Bareiss) elimination of
-    [rows | I]: its last row ends as det([rows | e_k]) = (-1)^(k+p) minor_k,
-    times the sign of the row swaps.  A column without a pivot means
-    rank < p, and then every minor is 0."""
-    m = len(rows)
-    p = m - 1
-    a = [list(r) + [int(i == k) for i in range(m)] for k, r in enumerate(rows)]
-    sign = -1 if p % 2 else 1
-    prev = 1
-    for k in range(p):
-        if a[k][k] == 0:
-            piv = next((i for i in range(k + 1, m) if a[i][k]), None)
-            if piv is None:
-                return [0] * m
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        pivot = a[k]
-        akk = pivot[k]
-        for row in a[k + 1:]:
-            aik = row[k]
-            if aik:
-                for j in range(k + 1, p + m):
-                    row[j] = (row[j] * akk - aik * pivot[j]) // prev
-            elif akk != prev:
-                for j in range(k + 1, p + m):
-                    row[j] = row[j] * akk // prev
-        prev = akk
-    return [sign * c for c in a[p][p:]]
 
 
 def grassmann_variables(n, d):

@@ -1,20 +1,30 @@
 """Exact arithmetic in a real algebraic number field Q(alpha).
 
 alpha is given by an irreducible minimal polynomial together with a rational
-interval isolating exactly one real root.  Elements are represented by their
-canonical residue mod the minimal polynomial, so equality is coefficientwise.
+interval isolating exactly one real root.  An element is its canonical
+residue mod the minimal polynomial in the standard representation (Cohen,
+A Course in Computational Algebraic Number Theory, 1993, 4.2): integer
+numerators `num`, one per power of alpha, over one denominator `den` > 0,
+with gcd(den, *num) = 1.  The representation is unique, so equality and zero
+tests compare integers.  A product is an integer polynomial product, reduced
+with the field's integer table of alpha^degree .. alpha^(2 degree - 2) over
+one denominator (1 for an integer minpoly), then divided by one gcd; a sum
+works over the lcm of the two denominators; an inverse solves the integer
+matrix of multiplication by the element with Cramer's rule, its cofactors
+from one fraction-free elimination.  `FieldElem.coeffs` gives the residue
+as Fractions, for output.
 
-Signs are decided exactly, by `NumberField.sign_of` on a coefficient vector.
-A certified fixed-point filter comes first: each field keeps integer bounds
+Signs are decided exactly, by `NumberField.sign_of` on a vector of integer
+numerators; den > 0 leaves the sign alone.  A certified fixed-point filter
+comes first: each field keeps integer bounds
 L_i <= 2^FILTER_BITS * alpha^i <= U_i, and a vector whose enclosure
 sum c_i [L_i, U_i] (`NumberField.enclosure`) excludes 0 gets the sign of that
 enclosure with integer arithmetic only.  Only when the enclosure contains 0
-does the exact path run: the zero test on the coefficients, then bisection of
+does the exact path run: the zero test on the numerators, then bisection of
 alpha's isolating interval until the interval enclosure of the element
-excludes 0.  Residues are canonical, so equality and zero tests compare
-coefficients and never need a sign.  Two values whose enclosures are
-disjoint are ordered by their enclosures alone, which is how the atlas
-arrangement compares slab values.
+excludes 0.  Two values whose enclosures (`FieldElem.enclosure`, the
+numerators' enclosure divided by den) are disjoint are ordered by their
+enclosures alone, which is how the atlas arrangement compares slab values.
 """
 
 from __future__ import annotations
@@ -65,28 +75,6 @@ def poly_eval(p: Sequence[Fraction], x: Fraction) -> Fraction:
     for c in reversed(p):
         acc = acc * x + c
     return acc
-
-
-def poly_add(p, q):
-    n = max(len(p), len(q))
-    return poly_trim([(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0)
-                      for i in range(n)])
-
-
-def poly_scale(p, c):
-    return poly_trim([ci * c for ci in p])
-
-
-def poly_mul(p, q):
-    if not p or not q:
-        return []
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return poly_trim(out)
 
 
 def poly_divmod(p, q):
@@ -236,6 +224,14 @@ class NumberField:
             self._lo, self._hi = lo, hi
         self._sign_at_lo = 1 if poly_eval(self.minpoly, self._lo) > 0 else -1
         self._filter = None  # (L_i, U_i) per power of alpha, built on first use
+        # (D, rows): D * alpha^i = sum_t rows[i - degree][t] alpha^t for
+        # i = degree .. 2 degree - 2, with integer rows; D = 1 for an integer
+        # minpoly
+        powers = [_reduce_mod([0] * i + [Fraction(1)], self.minpoly)
+                  for i in range(self.degree, 2 * self.degree - 1)]
+        powers = [r + [Fraction(0)] * (self.degree - len(r)) for r in powers]
+        den = math.lcm(*(c.denominator for r in powers for c in r))
+        self._reduction = (den, tuple(tuple(int(c * den) for c in r) for r in powers))
 
     # -- construction helpers ------------------------------------------------
 
@@ -244,10 +240,13 @@ class NumberField:
         if len(c) > self.degree:
             c = _reduce_mod(c, self.minpoly)
         c = c + [Fraction(0)] * (self.degree - len(c))
-        return FieldElem(self, tuple(c[: self.degree]))
+        # over the lcm of the denominators, numerators and den are coprime
+        den = math.lcm(*(x.denominator for x in c))
+        return FieldElem(self, tuple(x.numerator * (den // x.denominator) for x in c), den)
 
     def from_rational(self, x) -> "FieldElem":
-        return self.elem([_rat(x)])
+        x = _rat(x)
+        return FieldElem(self, (x.numerator,) + (0,) * (self.degree - 1), x.denominator)
 
     @property
     def zero(self) -> "FieldElem":
@@ -313,47 +312,41 @@ class NumberField:
                     return self._filter
             lo, hi = self._bisect(lo, hi)
 
-    def enclosure(self, coeffs) -> tuple[int, int]:
+    def enclosure(self, num) -> tuple[int, int]:
         """Integers (lo, hi) with lo <= 2^FILTER_BITS * x <= hi for
-        x = sum coeffs[i] * alpha^i, from the fixed-point bounds on alpha^i.
+        x = sum num[i] * alpha^i, from the fixed-point bounds on alpha^i.
 
-        `coeffs` holds at most `degree` ints or Fractions.  This is the
-        filter of `sign_of`; callers that compare many values keep each
-        value's enclosure and compare enclosures."""
+        `num` holds at most `degree` ints.  This is the filter of `sign_of`;
+        callers that compare many values keep each value's enclosure
+        (`FieldElem.enclosure`) and compare enclosures."""
         bounds = self._filter or self._filter_bounds()
         lo = hi = 0
-        for c, (l, u) in zip(coeffs, bounds):
-            if c < 0:
-                l, u = u, l
-            elif not c:
-                continue
-            if type(c) is int:
+        for c, (l, u) in zip(num, bounds):
+            if c > 0:
                 lo += c * l
                 hi += c * u
-            else:
-                # floor and ceil of the Fraction products, without building them
-                num, den = c.numerator, c.denominator
-                lo += num * l // den
-                hi -= -num * u // den
+            elif c:
+                lo += c * u
+                hi += c * l
         return lo, hi
 
-    def sign_of(self, coeffs) -> int:
-        """Sign of sum coeffs[i] * alpha^i under the real embedding.
+    def sign_of(self, num) -> int:
+        """Sign of sum num[i] * alpha^i under the real embedding.
 
-        `coeffs` holds at most `degree` ints or Fractions.  The fixed-point
-        enclosure decides unless it contains 0; then the exact path does:
-        the zero test, then refinement.  Refinement ends for every nonzero
-        element: a rational's interval enclosure is its value, and an
-        irrational's shrinks to its value."""
-        lo, hi = self.enclosure(coeffs)
+        `num` holds at most `degree` ints.  The fixed-point enclosure decides
+        unless it contains 0; then the exact path does: the zero test, then
+        refinement.  Refinement ends for every nonzero element: a rational's
+        interval enclosure is its value, and an irrational's shrinks to its
+        value."""
+        lo, hi = self.enclosure(num)
         if lo > 0:
             return 1
         if hi < 0:
             return -1
-        if not any(coeffs):
+        if not any(num):
             return 0
         while True:
-            lo, hi = self.interval_of(coeffs)
+            lo, hi = self.interval_of(num)
             if lo > 0:
                 return 1
             if hi < 0:
@@ -390,14 +383,63 @@ def _reduce_mod(c, minpoly):
     return poly_trim(c)
 
 
+def _cofactors(rows):
+    """The column-0 cofactors (-1)^k det(rows without row k), k = 0..p, of a
+    (p+1) x p integer matrix, from one fraction-free (Bareiss) elimination of
+    [rows | I]: its last row ends as det([rows | e_k]) = (-1)^(k+p) minor_k,
+    times the sign of the row swaps.  A column without a pivot means
+    rank < p, and then every minor is 0."""
+    m = len(rows)
+    p = m - 1
+    a = [list(r) + [int(i == k) for i in range(m)] for k, r in enumerate(rows)]
+    sign = -1 if p % 2 else 1
+    prev = 1
+    for k in range(p):
+        if a[k][k] == 0:
+            piv = next((i for i in range(k + 1, m) if a[i][k]), None)
+            if piv is None:
+                return [0] * m
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        pivot = a[k]
+        akk = pivot[k]
+        for row in a[k + 1:]:
+            aik = row[k]
+            if aik:
+                for j in range(k + 1, p + m):
+                    row[j] = (row[j] * akk - aik * pivot[j]) // prev
+            elif akk != prev:
+                for j in range(k + 1, p + m):
+                    row[j] = row[j] * akk // prev
+        prev = akk
+    return [sign * c for c in a[p][p:]]
+
+
+def _canonical(field, num, den) -> "FieldElem":
+    """The element num / den (den > 0) with the common factor removed."""
+    g = math.gcd(den, *num)
+    if g != 1:
+        return FieldElem(field, tuple(c // g for c in num), den // g)
+    return FieldElem(field, tuple(num), den)
+
+
 class FieldElem:
-    """An element of Q(alpha), stored as its canonical residue mod minpoly."""
+    """An element of Q(alpha): its canonical residue mod minpoly, stored as
+    integer numerators `num` (one per power of alpha) over one denominator
+    `den`, with den > 0 and gcd(den, *num) = 1."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "num", "den")
 
-    def __init__(self, field: NumberField, coeffs: tuple[Fraction, ...]):
+    def __init__(self, field: NumberField, num: tuple[int, ...], den: int):
         self.field = field
-        self.coeffs = coeffs
+        self.num = num
+        self.den = den
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The residue's coefficients as rationals."""
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.num)
 
     # -- ring structure -------------------------------------------------------
 
@@ -410,63 +452,89 @@ class FieldElem:
             return self.field.from_rational(other)
         return None
 
+    def _plus(self, o, sign):
+        """self + sign * o over the lcm of the denominators."""
+        da, db = self.den, o.den
+        if da == db:
+            num = [a + sign * b for a, b in zip(self.num, o.num)]
+            return _canonical(self.field, num, da)
+        g = math.gcd(da, db)
+        sa, sb = db // g, sign * (da // g)
+        num = [a * sa + b * sb for a, b in zip(self.num, o.num)]
+        return _canonical(self.field, num, da * sa)
+
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElem(self.field, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        return self._plus(o, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElem(self.field, tuple(-a for a in self.coeffs))
+        return FieldElem(self.field, tuple(-a for a in self.num), self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElem(self.field, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        return self._plus(o, -1)
 
     def __rsub__(self, other):
         return -(self - other)
 
     def __mul__(self, other):
-        # a rational factor scales the coefficients: no product, no reduction
+        # a rational factor scales the numerators: no product, no reduction
         if isinstance(other, (int, Fraction)):
             return self._scaled(other)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if o.is_rational():
-            return self._scaled(o.coeffs[0])
-        if self.is_rational():
-            return o._scaled(self.coeffs[0])
-        prod = poly_mul(self.coeffs, o.coeffs)
-        red = _reduce_mod(prod, self.field.minpoly)
-        k = self.field.degree
-        red = red + [Fraction(0)] * (k - len(red))
-        return FieldElem(self.field, tuple(red[:k]))
+        a, b = self.num, o.num
+        k = len(a)
+        prod = [0] * (2 * k - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    prod[j] += x * y
+        # alpha^i for i >= degree is rows[i - degree] / scale
+        scale, rows = self.field._reduction
+        num = prod[:k]
+        if scale != 1:
+            num = [scale * c for c in num]
+        for c, row in zip(prod[k:], rows):
+            if c:
+                num = [u + c * r for u, r in zip(num, row)]
+        return _canonical(self.field, num, self.den * o.den * scale)
 
     __rmul__ = __mul__
 
     def _scaled(self, q) -> "FieldElem":
-        return FieldElem(self.field, tuple(c * q for c in self.coeffs))
+        # q.denominator > 0 for ints and Fractions alike
+        p = q.numerator
+        return _canonical(self.field, [c * p for c in self.num], self.den * q.denominator)
 
     def inverse(self) -> "FieldElem":
+        """1/self by Cramer's rule on integers.  Column j of W is
+        scale^j num(alpha) alpha^j, as integers (scale of the reduction
+        table), so 1/num(alpha) = sum_j scale^j z_j alpha^j for the solution z
+        of W z = e_0: z_j = det(W with column j replaced by e_0) / det W."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        # extended Euclid: s*self + t*minpoly = gcd = const
-        r0, r1 = list(self.field.minpoly), poly_trim(self.coeffs)
-        s0, s1 = [], [Fraction(1)]
-        while True:
-            q, r = poly_divmod(r0, r1)
-            if not r:
-                break
-            s = poly_add(s0, poly_scale(poly_mul(q, s1), Fraction(-1)))
-            r0, r1, s0, s1 = r1, r, s1, s
-        # r1 is a nonzero constant (minpoly irreducible)
-        inv = poly_scale(s1, 1 / r1[0])
-        return self.field.elem(inv)
+        scale, rows = self.field._reduction
+        k = len(self.num)
+        cols = [list(self.num)]
+        for _ in range(k - 1):
+            w = cols[-1]
+            top = w[-1]
+            cols.append([scale * a + top * r for a, r in zip([0] + w[:-1], rows[0])])
+        # det(W_j) = (-1)^j det(W without row 0 and column j)
+        cramer = _cofactors([col[1:] for col in cols])
+        det = sum(col[0] * c for col, c in zip(cols, cramer))
+        if det < 0:
+            det, cramer = -det, [-c for c in cramer]
+        num = [self.den * c * scale ** j for j, c in enumerate(cramer)]
+        return _canonical(self.field, num, det)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -474,10 +542,10 @@ class FieldElem:
             return NotImplemented
         if not o.is_rational():
             return self * o.inverse()
-        # a rational divisor scales the coefficients: no extended Euclid
+        # a rational divisor scales the numerators: no inverse
         if o.is_zero():
             raise ZeroDivisionError("division by zero")
-        return self._scaled(1 / o.coeffs[0])
+        return self._scaled(Fraction(o.den, o.num[0]))
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -501,21 +569,27 @@ class FieldElem:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.coeffs == o.coeffs
+        return self.den == o.den and self.num == o.num
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.num, self.den))
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     # -- order structure under the real embedding -----------------------------
 
     def sign(self) -> int:
-        return self.field.sign_of(self.coeffs)
+        # den > 0: the numerators have the element's sign
+        return self.field.sign_of(self.num)
+
+    def enclosure(self) -> tuple[int, int]:
+        """Integers (lo, hi) with lo <= 2^FILTER_BITS * self <= hi."""
+        lo, hi = self.field.enclosure(self.num)
+        return lo // self.den, -(-hi // self.den)
 
     def __lt__(self, other):
         o = self._coerce(other)
@@ -542,7 +616,8 @@ class FieldElem:
         """Enclosure of this element with width at most `width`."""
         f = self.field
         while True:
-            lo, hi = f.interval_of(self.coeffs)
+            lo, hi = f.interval_of(self.num)
+            lo, hi = lo / self.den, hi / self.den
             if hi - lo <= width:
                 return lo, hi
             f._refine()
@@ -588,7 +663,7 @@ class FieldElem:
     def floor(self) -> int:
         """Exact integer floor under the real embedding."""
         if self.is_rational():
-            return self.coeffs[0].numerator // self.coeffs[0].denominator
+            return self.num[0] // self.den
         # an element with an irrational coefficient vector is irrational, so
         # the enclosure eventually separates from every integer
         width = Fraction(1, 4)

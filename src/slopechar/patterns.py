@@ -221,8 +221,8 @@ def _walk(n: int, r: int, status) -> LiftedPattern:
 
 def _enclosed(x):
     """A slab value with its fixed-point enclosure: (x, lo, hi), where
-    lo <= 2^FILTER_BITS * x <= hi (`NumberField.enclosure`)."""
-    return (x, *x.field.enclosure(x.coeffs))
+    lo <= 2^FILTER_BITS * x <= hi (`FieldElem.enclosure`)."""
+    return (x, *x.enclosure())
 
 
 def _cmp(a, b):
@@ -429,8 +429,8 @@ def _arrangement(s: Slope, r: int, w: Window):
             for p in _window_polygon(w)]
     bits = {}
     for k, (_, lo, hi) in enumerate(w.slabs):
-        bits[k, lo.coeffs] = 2 * k
-        bits[k, hi.coeffs] = 2 * k + 1
+        bits[k, lo.num, lo.den] = 2 * k
+        bits[k, hi.num, hi.den] = 2 * k + 1
     # every cell lies above the window's lo_k and below its hi_k
     inside = sum(1 << 2 * k for k in range(nk))
     masks = {(0,) * s.n: (inside, inside << 1)}
@@ -441,9 +441,9 @@ def _arrangement(s: Slope, r: int, w: Window):
         for k, (nu, lo, hi) in enumerate(w.slabs):
             t = dot(nu, shift)
             for side, c in enumerate((lo - t, hi - t)):
-                bit = bits.get((k, c.coeffs))
+                bit = bits.get((k, c.num, c.den))
                 if bit is None:
-                    bit = bits[k, c.coeffs] = len(bits)
+                    bit = bits[k, c.num, c.den] = len(bits)
                     cells = _cut(cells, k, _enclosed(c), 1 << bit)
                 need_forbid[side] |= 1 << bit
         masks[x] = tuple(need_forbid)

@@ -7,6 +7,7 @@ index tuples and extended antisymmetrically elsewhere.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -145,8 +146,11 @@ def is_generic(s: Slope):
     k = s.field.degree
     rows = []
     for col in s.u_columns:
+        # row j holds the alpha^j numerators over the column's common
+        # denominator: a positive multiple of the rational row, same kernel
+        den = math.lcm(*(e.den for e in col))
         for j in range(k):
-            rows.append(tuple(e.coeffs[j] for e in col))
+            rows.append(tuple(e.num[j] * (den // e.den) for e in col))
     normals = kernel_int(Matrix(rows))
     if not normals:
         return True, None

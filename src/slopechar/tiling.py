@@ -50,14 +50,16 @@ def _slab_rows(w: Window, b):
         rows = []
         for nu, lo, hi in w.slabs:
             row = [dot(nu, b.col(j)) for j in range(b.ncols)]
-            den = math.lcm(*(c.denominator for e in row for c in e.coeffs))
+            den = math.lcm(*(e.den for e in row))
             rows.append((nu, den, tuple(zip(*(_cleared(e, den) for e in row))), lo, hi))
         got = w._lattice_rows = (b, rows)
     return got[1]
 
 
 def _cleared(e, den):
-    return tuple(c.numerator * (den // c.denominator) for c in e.coeffs)
+    """The numerators of e over den, a multiple of e.den."""
+    scale = den // e.den
+    return tuple(c * scale for c in e.num)
 
 
 class LatticeMembership:
@@ -76,7 +78,7 @@ class LatticeMembership:
         for nu, den, cols, lo, hi in _slab_rows(w, b):
             shift = dot(nu, offset)
             lo, hi = lo + shift, hi + shift
-            common = math.lcm(den, *(c.denominator for c in lo.coeffs + hi.coeffs))
+            common = math.lcm(den, lo.den, hi.den)
             if common != den:
                 cols = tuple(tuple(v * (common // den) for v in col) for col in cols)
             self.tests.append((cols, _cleared(lo, common), _cleared(hi, common)))
@@ -232,7 +234,7 @@ def _digitize_at(s: Slope, offset, radius) -> Patch:
     if st == 0:
         raise SingularOffset("seed vertex on window boundary; perturb the offset")
     if st < 0:
-        origin = _find_seed(member, n)
+        origin = _find_seed(member, b, [o + c for o, c in zip(offset, w.center)])
     frontier = deque([origin])
     inside = {origin}
     while frontier:
@@ -267,24 +269,27 @@ def _digitize_at(s: Slope, offset, radius) -> Patch:
     return Patch(s, offset, faces, radius, member)
 
 
-def _find_seed(member: LatticeMembership, n):
-    # BFS in Z^n from the origin until a vertex projects inside the window
-    frontier = deque([(0,) * n])
-    seen = {(0,) * n}
+def _find_seed(member: LatticeMembership, b, target):
+    """A lattice point x with B x strictly inside the translated window, whose
+    center has E' coordinates `target`.  Breadth-first search in Z^n from the
+    rounding of y = B^T (B B^T)^-1 target, the point of E' with B y = target,
+    so the search starts next to the center wherever the offset puts it."""
+    bt = b.transpose()
+    start = tuple(round(float(c)) for c in bt.apply(solve_right(b * bt, target)))
+    frontier = deque([start])
+    seen = {start}
     budget = 2_000_000
     while frontier and budget:
         v = frontier.popleft()
         budget -= 1
-        for j in range(n):
+        if member.status(v) > 0:
+            return v
+        for j in range(len(v)):
             for sgn in (1, -1):
                 nb = v[:j] + (v[j] + sgn,) + v[j + 1:]
-                if nb in seen:
-                    continue
-                seen.add(nb)
-                st = member.status(nb)
-                if st > 0:
-                    return nb
-                frontier.append(nb)
+                if nb not in seen:
+                    seen.add(nb)
+                    frontier.append(nb)
     raise InputError("could not find a lattice point projecting in the window")
 
 

@@ -55,3 +55,19 @@ def quad42():
     """A quadratic 4->2 slope whose window is a hexagon: two of its four
     generators are parallel."""
     return specfile.to_slope(specfile.parse_spec(QUAD42))
+
+
+HALF42 = """\
+minpoly = ["-3", "0", "2"]
+root_interval = ["1", "2"]
+n = 4
+d = 2
+generators = [[["-1", "0"], ["0", "0"], ["1", "0"], ["0", "1"]], [["0", "0"], ["1", "0"], ["0", "1"], ["1", "0"]]]
+"""
+
+
+@pytest.fixture(scope="session")
+def half42():
+    """The generators of ammann_beenker over Q(sqrt(3/2)), whose monic
+    minpoly x^2 - 3/2 has a non-integer coefficient."""
+    return specfile.to_slope(specfile.parse_spec(HALF42))

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slopechar import charcheck, cli
+from slopechar import charcheck, cli, specfile
+from slopechar.tiling import Face, face_selected_by_anchor
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -59,6 +60,18 @@ def test_digitize(tmp_path, capsys):
     assert doc["faces"]
     assert "<svg" in svg.read_text()
     assert "faces at radius 6" in capsys.readouterr().out
+
+
+def test_digitize_far_offset(tmp_path):
+    # the seed search starts next to the window, not at the origin
+    spec = tmp_path / "far.slope"
+    spec.write_text(Path(AB).read_text() + "offset = [[50], [50]]\n")
+    doc, _ = _run_json(["digitize", str(spec), "--radius", "3"], tmp_path, "patch")
+    s = specfile.to_slope(specfile.load_spec(str(spec)))
+    offset = (s.field.from_rational(50), s.field.from_rational(50))
+    faces = [Face(tuple(f["anchor"]), tuple(f["directions"])) for f in doc["faces"]]
+    assert len(faces) == 90
+    assert all(face_selected_by_anchor(s, f, offset) for f in faces)
 
 
 def test_coincidences(tmp_path):
@@ -150,7 +163,6 @@ def test_exit_code_parse_error(tmp_path, capsys):
 
 
 def test_exit_code_singular_offset(tmp_path, capsys, typical_spec):
-    from slopechar import specfile
     # an all-zero offset puts lattice points on the window boundary
     k = len(typical_spec.minpoly) - 1
     spec = specfile.SlopeSpec(
@@ -384,8 +396,7 @@ def test_overlong_integer_exits_with_one_line(tmp_path, capsys):
 
 SPEC_KEYS = ("minpoly", "root_interval", "n", "d", "generators", "offset",
              "normalization", "seed")
-# small values only: an offset far from the window searches up to 2 million
-# lattice points (about 23 s), and a large radius or r is a large computation
+# small values only: a large radius or r is a large computation
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-3, 3)
     | st.sampled_from(["1/2", "-3/4", "1/0", "x", "", "G12", "G21", "integral-sum"]),

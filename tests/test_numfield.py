@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import mpmath
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +20,17 @@ def sqrt2():
 
 def cubic():
     return NumberField([1, -1, 1, 1], (F(-2), F(-1)))
+
+
+def half():
+    """Q(sqrt(3/2)): the monic minpoly x^2 - 3/2 has a non-integer coefficient."""
+    return NumberField([-3, 0, 2], (F(1), F(2)))
+
+
+def half_cubic():
+    """The root in (1, 2) of x^3 - x/2 - 3/2: alpha^3 and alpha^4 both reduce
+    with denominator 2."""
+    return NumberField([-3, -1, 0, 2], (F(1), F(2)))
 
 
 def test_root_bracketing_errors():
@@ -122,7 +134,7 @@ def test_field_ring_axioms(ca, cb):
 
 # -- the fixed-point sign filter ------------------------------------------------
 
-FIELDS = {"quadratic": sqrt2, "cubic": cubic}
+FIELDS = {"quadratic": sqrt2, "cubic": cubic, "half": half, "half_cubic": half_cubic}
 
 
 def _reference_sign(name, coeffs):
@@ -181,7 +193,7 @@ def _elements(draw):
 def test_filtered_sign_matches_exact_path(elem):
     name, coeffs = elem
     f = FIELDS[name]()
-    assert FieldElem(f, coeffs).sign() == _reference_sign(name, coeffs)
+    assert f.elem(coeffs).sign() == _reference_sign(name, coeffs)
     # the same element over a common denominator, as integers
     den = math.lcm(*(c.denominator for c in coeffs))
     assert f.sign_of([int(c * den) for c in coeffs]) == _reference_sign(name, coeffs)
@@ -194,7 +206,7 @@ def test_filter_defers_near_zero_elements_to_the_exact_path(monkeypatch):
         degree = FIELDS[name]().degree
         for p, q in conv:
             for sg in (1, -1):
-                coeffs = (F(sg * p), F(-sg * q)) + (F(0),) * (degree - 2)
+                coeffs = (sg * p, -sg * q) + (0,) * (degree - 2)
                 cases.append((name, coeffs, _reference_sign(name, coeffs)))
     steps = []
     refine = NumberField._refine
@@ -228,7 +240,7 @@ def test_sign_filter_leaves_the_root_interval_alone():
 def test_rational_factor_matches_general_product(cx, q):
     f = cubic()
     x = f.elem(cx)
-    general = numfield._reduce_mod(numfield.poly_mul(x.coeffs, [q]), f.minpoly)
+    general = numfield._reduce_mod([c * q for c in x.coeffs], f.minpoly)
     general = tuple(general) + (F(0),) * (3 - len(general))
     for prod in (x * q, q * x, x * f.from_rational(q), f.from_rational(q) * x):
         assert prod.coeffs == general
@@ -261,7 +273,7 @@ MP_ALPHA = {name: _mp_alpha(name) for name in FIELDS}
 def test_enclosure_contains_the_scaled_value(elem):
     name, coeffs = elem
     f = FIELDS[name]()
-    lo, hi = f.enclosure(coeffs)
+    lo, hi = f.elem(coeffs).enclosure()
     assert type(lo) is int and type(hi) is int and lo <= hi
     with mpmath.workdps(MP_DIGITS):
         alpha = MP_ALPHA[name]
@@ -283,13 +295,65 @@ def test_sign_of_is_the_sign_of_its_enclosure(monkeypatch):
     rng = random.Random(11)
     for name, make in FIELDS.items():
         f = make()
-        cases = [tuple(F(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 3))
-                       for _ in range(f.degree)) for _ in range(200)]
+        cases = [f.elem([F(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 3))
+                         for _ in range(f.degree)]).num for _ in range(200)]
         filtered = [f.sign_of(c) for c in cases]
         monkeypatch.setattr(f, "enclosure", lambda coeffs: (-1, 1))
         assert [f.sign_of(c) for c in cases] == filtered
         assert filtered == [_reference_sign(name, c) for c in cases]
         monkeypatch.undo()
+
+
+# -- integer numerators over one denominator, against sympy ------------------
+
+X = sympy.Symbol("x")
+
+
+def _sym(coeffs):
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(coeffs)],
+                      X, domain="QQ")
+
+
+def _residue(p, degree):
+    out = [F(int(c.p), int(c.q)) for c in reversed(p.all_coeffs())]
+    return tuple(out + [F(0)] * (degree - len(out)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(FIELDS)), st.data())
+def test_arithmetic_matches_sympy(name, data):
+    f = FIELDS[name]()
+    entries = st.lists(st.just(F(0)) | st.fractions(-10 ** 4, 10 ** 4, max_denominator=60),
+                       min_size=f.degree, max_size=f.degree)
+    a, b = tuple(data.draw(entries)), tuple(data.draw(entries))
+    x, y = f.elem(a), f.elem(b)
+    mp, pa, pb = _sym(f.minpoly), _sym(a), _sym(b)
+    for e, c in ((x, a), (y, b)):
+        assert e.coeffs == c
+        assert e.den > 0 and math.gcd(e.den, *e.num) == 1
+    assert (x + y).coeffs == tuple(p + q for p, q in zip(a, b))
+    assert (x - y).coeffs == tuple(p - q for p, q in zip(a, b))
+    assert (b[0] - x).coeffs == tuple((b[0] if i == 0 else 0) - p for i, p in enumerate(a))
+    assert (x * y).coeffs == _residue((pa * pb).rem(mp), f.degree)
+    assert (x * b[0]).coeffs == tuple(p * b[0] for p in a)
+    if not y.is_zero():
+        inv = sympy.invert(pb, mp)
+        assert y.inverse().coeffs == _residue(inv, f.degree)
+        assert (x / y).coeffs == _residue((pa * inv).rem(mp), f.degree)
+    # equal elements built different ways compare and hash equal
+    assert (x == y) == (a == b)
+    again = x * y - y * x + x
+    assert again == x and hash(again) == hash(x)
+    assert x.sign() == _reference_sign(name, a)
+    lo, hi = x.enclosure()
+    assert type(lo) is int and type(hi) is int
+    with mpmath.workdps(MP_DIGITS):
+        terms = [mpmath.mpf(c.numerator) / c.denominator * MP_ALPHA[name] ** i
+                 for i, c in enumerate(a)]
+        scaled = mpmath.fsum(terms) * 2 ** numfield.FILTER_BITS
+        slack = (sum(abs(t) for t in terms) * 2 ** numfield.FILTER_BITS
+                 * mpmath.mpf(10) ** (10 - MP_DIGITS))
+        assert lo - slack <= scaled <= hi + slack
 
 
 @settings(max_examples=60, deadline=None)

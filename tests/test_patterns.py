@@ -210,6 +210,16 @@ def _arrangement_by_vertex_pass(s, r):
     return cells
 
 
+def test_atlas_over_a_non_integral_minpoly(half42):
+    # integer numerators over a denominator that the minpoly's reduction
+    # table scales: the atlas cells are the reference arrangement's cells
+    atlas = enumerate_r_patterns(half42, 0)
+    assert atlas.complete and len(atlas.entries) > 10
+    key = lambda poly: tuple(tuple(x.coeffs for x in p) for p in poly)
+    cells = sorted(key(poly) for e in atlas.entries for poly in e.cells)
+    assert cells == sorted(map(key, _arrangement_by_vertex_pass(half42, 0)))
+
+
 @pytest.mark.parametrize("name, r", [("ab", 1), ("typical", 0)])
 def test_arrangement_matches_vertex_pass(request, name, r):
     # the extent test splits the same cells, into the same vertices, in the
@@ -295,7 +305,8 @@ def _centroid(poly):
     return tuple(a / len(poly) for a in acc)
 
 
-@pytest.mark.parametrize("name, r", [("ab", 0), ("ab", 1), ("typical", 0), ("quad42", 0)])
+@pytest.mark.parametrize("name, r", [("ab", 0), ("ab", 1), ("typical", 0), ("quad42", 0),
+                                     ("half42", 0)])
 def test_cell_labels_give_the_pattern_at_each_centroid(request, monkeypatch, name, r):
     # a cell's pattern, read off its label, is the one the lattice walk of
     # r_pattern_at finds at a point inside the cell

@@ -2,10 +2,12 @@ import hashlib
 import itertools
 import json
 import math
+from collections import deque
 from fractions import Fraction as F
 
 import pytest
 
+from slopechar import tiling
 from slopechar.errors import InputError
 from slopechar.geometry import (BOUNDARY, INSIDE, complementary_zonotope,
                                 eprime_basis, window)
@@ -232,3 +234,51 @@ def test_patch_json_golden(name, request):
     patch = digitize(s, offset=spec_offset(spec, s), radius=F(9), seed=seed)
     assert len(patch) == faces
     assert hashlib.sha256(patch_json(patch).encode()).hexdigest() == digest
+
+
+# -- the seed search ------------------------------------------------------------
+
+
+def _seed_from_origin(member, b, target):
+    """Breadth-first search in Z^n from the origin for a lattice point in the
+    window, the oracle of `tiling._find_seed`, which starts at the window's
+    center instead."""
+    origin = (0,) * b.ncols
+    frontier = deque([origin])
+    seen = {origin}
+    while frontier and len(seen) < 100_000:
+        v = frontier.popleft()
+        for j in range(len(v)):
+            for sgn in (1, -1):
+                nb = v[:j] + (v[j] + sgn,) + v[j + 1:]
+                if nb in seen:
+                    continue
+                seen.add(nb)
+                if member.status(nb) > 0:
+                    return nb
+                frontier.append(nb)
+    pytest.fail("no lattice point in the window near the origin")
+
+
+@pytest.mark.parametrize("name", ["typical", "ab"])
+def test_seed_search_matches_search_from_origin(name, request, monkeypatch):
+    # offsets that put the window a little off the origin: the patch is the
+    # same whichever in-window point the growth starts from
+    s = request.getfixturevalue(name)
+    w, b = window(s), eprime_basis(s)
+    for shift in [(F(3, 2), 0), (0, F(3, 2)), (F(-3, 2), F(1, 3)), (-2, F(-1, 2)), (1, -1)]:
+        offset = tuple(s.field.from_rational(x) - c for c, x in zip(w.center, shift))
+        assert LatticeMembership(w, b, offset).status((0,) * s.n) < 0
+        got = digitize(s, offset=offset, radius=F(4))
+        monkeypatch.setattr(tiling, "_find_seed", _seed_from_origin)
+        want = digitize(s, offset=offset, radius=F(4))
+        monkeypatch.undo()
+        assert len(got) > 100 and got.faces == want.faces
+
+
+def test_far_offset_finds_its_seed_next_to_the_window(ab):
+    # a search from the origin tests millions of lattice points here; this
+    # one starts next to the window, so growing the patch is most of the work
+    offset = (ab.field.from_rational(50), ab.field.from_rational(50))
+    patch = digitize(ab, offset=offset, radius=F(3))
+    assert len(patch) == 90 and len(patch.member.cache) < 2000
