@@ -24,7 +24,10 @@ does the exact path run: the zero test on the numerators, then bisection of
 alpha's isolating interval until the interval enclosure of the element
 excludes 0.  Two values whose enclosures (`FieldElem.enclosure`, the
 numerators' enclosure divided by den) are disjoint are ordered by their
-enclosures alone, which is how the atlas arrangement compares slab values.
+enclosures alone.  The atlas arrangement compares slab values that way, and
+lattice membership (`tiling.LatticeMembership`) compares the enclosure of a
+slab value, summed from the enclosures of the slab's integer columns, with
+the enclosures of the slab's bounds.
 """
 
 from __future__ import annotations
@@ -35,8 +38,6 @@ from typing import Iterable, Sequence
 
 from .errors import InputError
 
-
-Rat = Fraction
 
 # binary digits of the fixed-point sign filter: its enclosures of
 # 2^FILTER_BITS * alpha^i are at most 2 apart, so every element farther than
@@ -423,6 +424,18 @@ def _canonical(field, num, den) -> "FieldElem":
     return FieldElem(field, tuple(num), den)
 
 
+def _decimal_exponent(v: Fraction) -> int:
+    """The integer e with 10^e <= v < 10^(e+1), for a rational v > 0."""
+    e = len(str(v.numerator)) - len(str(v.denominator))
+    # 10^(e-1) < v < 10^(e+1)
+    return e if v >= Fraction(10) ** e else e - 1
+
+
+def _round_half_up(v: Fraction) -> int:
+    q, r = divmod(v.numerator, v.denominator)
+    return q + (2 * r >= v.denominator)
+
+
 class FieldElem:
     """An element of Q(alpha): its canonical residue mod minpoly, stored as
     integer numerators `num` (one per power of alpha) over one denominator
@@ -623,38 +636,34 @@ class FieldElem:
             f._refine()
 
     def approx(self, digits: int) -> str:
-        """Decimal string, correct to `digits` significant digits."""
+        """Decimal string of the value rounded half up at `digits`
+        significant digits.  The interval enclosure is refined until it
+        fixes the decimal exponent and then the rounding; an irrational value
+        is neither a power of 10 nor a rounding tie, and a rational one has a
+        point enclosure, so refinement ends."""
         if digits < 1:
             raise ValueError("digits must be >= 1")
         if self.is_zero():
             return "0." + "0" * (digits - 1) if digits > 1 else "0"
-        s = self.sign()
-        lo, hi = self.interval(Fraction(1, 10 ** (digits + 6)))
-        mid = abs((lo + hi) / 2)
-        expo = 0
-        while mid >= 10:
-            mid /= 10
-            expo += 1
-        while mid < 1:
-            mid *= 10
-            expo -= 1
-        decimals = digits - 1 - expo
-        value = abs((lo + hi) / 2)
-        if decimals >= 0:
-            scaled = value * 10**decimals
-            q, r = divmod(scaled.numerator, scaled.denominator)
-            if 2 * r >= scaled.denominator:
-                q += 1
-            digits_str = str(q).rjust(decimals + 1, "0")
-            intpart, fracpart = digits_str[: len(digits_str) - decimals], digits_str[len(digits_str) - decimals:]
-            out = intpart + ("." + fracpart if decimals else "")
+        neg = self.sign() < 0
+        f = self.field
+        while True:
+            lo, hi = f.interval_of(self.num)
+            lo, hi = (-hi / self.den, -lo / self.den) if neg else (lo / self.den, hi / self.den)
+            if lo > 0:
+                expo = _decimal_exponent(lo)
+                if _decimal_exponent(hi) == expo:
+                    decimals = digits - 1 - expo
+                    q = _round_half_up(lo * Fraction(10) ** decimals)
+                    if q == _round_half_up(hi * Fraction(10) ** decimals):
+                        break
+            f._refine()
+        if decimals > 0:
+            text = str(q).rjust(decimals + 1, "0")
+            out = text[:-decimals] + "." + text[-decimals:]
         else:
-            unit = 10 ** (-decimals)
-            q, r = divmod(value.numerator, value.denominator * unit)
-            if 2 * r >= value.denominator * unit:
-                q += 1
-            out = str(q * unit)
-        return ("-" if s < 0 else "") + out
+            out = str(q * 10 ** -decimals)
+        return ("-" if neg else "") + out
 
     def __float__(self):
         lo, hi = self.interval(Fraction(1, 10**20))

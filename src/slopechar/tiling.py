@@ -15,7 +15,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from operator import mul
+from operator import add, mul
 
 from .errors import InputError, SingularOffset
 from .geometry import Window, complementary_zonotope, eprime_basis, window
@@ -67,12 +67,19 @@ class LatticeMembership:
 
     Each slab lo <= nu . (B x - offset) <= hi is kept as integer coefficient
     vectors over one positive common denominator: a column per coordinate of
-    x and the bounds, so a test is integer dot products and two calls of the
-    field's sign filter.  The columns come from the rows cached on the
-    window; the offset only moves the bounds."""
+    x and the bounds.  The columns come from the rows cached on the window;
+    the offset only moves the bounds.
+
+    Beside them each slab keeps the field's fixed-point enclosure
+    (`NumberField.enclosure`) of every column and of both bounds, so a test
+    first encloses the slab value as sum x_j [L_j, U_j], n integer products,
+    and compares it with the bounds' enclosures (the certified dynamic filter
+    of Bronnimann, Burnikel and Pion, 2001, one enclosure per column).  Only
+    where the enclosures overlap does the exact test run: the integer dot
+    products and two calls of the field's sign filter."""
 
     def __init__(self, w: Window, b, offset):
-        self.field = b[0, 0].field
+        self.field = field = b[0, 0].field
         self.offset = offset = tuple(offset)
         self.tests = []
         for nu, den, cols, lo, hi in _slab_rows(w, b):
@@ -81,34 +88,52 @@ class LatticeMembership:
             common = math.lcm(den, lo.den, hi.den)
             if common != den:
                 cols = tuple(tuple(v * (common // den) for v in col) for col in cols)
-            self.tests.append((cols, _cleared(lo, common), _cleared(hi, common)))
+            lo, hi = _cleared(lo, common), _cleared(hi, common)
+            # 2^(FILTER_BITS + 1) common (nu . B x) lies within m -+ r for
+            # m = sum x_j mid_j and r = sum |x_j| rad_j: the sum of
+            # x_j [L_j, U_j] with the ends swapped where x_j < 0
+            encs = [field.enclosure(col) for col in zip(*cols)]
+            mid = tuple(l + u for l, u in encs)
+            rad = tuple(u - l for l, u in encs)
+            lo_l, lo_u = field.enclosure(lo)
+            hi_l, hi_u = field.enclosure(hi)
+            self.tests.append((cols, lo, hi, mid, rad,
+                               2 * lo_l, 2 * lo_u, 2 * hi_l, 2 * hi_u))
         self.cache = {}
+
+    def _side(self, x, slab) -> int:
+        """1 if B x - offset lies strictly inside the slab, 0 on one of its
+        bounds, -1 outside it."""
+        cols, lo, hi, mid, rad, lo_l, lo_u, hi_l, hi_u = slab
+        m = sum(map(mul, x, mid))
+        r = sum(map(mul, map(abs, x), rad))
+        if lo_u < m - r and m + r < hi_l:
+            return 1
+        if m + r < lo_l or hi_u < m - r:
+            return -1
+        sign_of = self.field.sign_of
+        acc = [sum(map(mul, x, col)) for col in cols]
+        return min(sign_of([a - c for a, c in zip(acc, lo)]),
+                   sign_of([c - a for a, c in zip(acc, hi)]))
 
     def status(self, x) -> int:
         """1 inside, 0 boundary, -1 outside."""
         got = self.cache.get(x)
         if got is not None:
             return got
-        sign_of = self.field.sign_of
         result = 1
-        for cols, lo, hi in self.tests:
-            acc = [sum(map(mul, x, col)) for col in cols]
-            s1 = sign_of([a - c for a, c in zip(acc, lo)])
-            s2 = sign_of([c - a for a, c in zip(acc, hi)])
-            if s1 < 0 or s2 < 0:
-                result = -1
-                break
-            if s1 == 0 or s2 == 0:
-                result = 0
+        for slab in self.tests:
+            side = self._side(x, slab)
+            if side < result:
+                result = side
+                if side < 0:
+                    break
         self.cache[x] = result
         return result
 
     def violated(self, x):
         """Columns `cols` of each slab that B x - offset lies outside of."""
-        sign_of = self.field.sign_of
-        return [cols for cols, lo, hi in self.tests
-                if sign_of([sum(map(mul, x, col)) - c for col, c in zip(cols, lo)]) < 0
-                or sign_of([c - sum(map(mul, x, col)) for col, c in zip(cols, hi)]) < 0]
+        return [slab[0] for slab in self.tests if self._side(x, slab) < 0]
 
 
 class Patch:
@@ -252,20 +277,25 @@ def _digitize_at(s: Slope, offset, radius) -> Patch:
                 if st > 0 and inball(nb, reach):
                     inside.add(nb)
                     frontier.append(nb)
+    # the corners of Face(v, dirs) other than v are v + step, in the order
+    # of Face.corners
+    steps = [(dirs, Face((0,) * n, dirs).corners()[1:])
+             for dirs in combinations(range(1, n + 1), d)]
+    r = float(radius)
     faces = []
     for v in inside:
-        for dirs in combinations(range(1, n + 1), d):
-            ok = True
-            f = Face(v, dirs)
-            corners = f.corners()
-            for c in corners[1:]:
-                if c not in inside and member.status(c) <= 0:
-                    if member.status(c) == 0:
-                        raise SingularOffset("face corner on window boundary")
-                    ok = False
-                    break
-            if ok and any(inball(c, float(radius)) for c in corners):
-                faces.append(f)
+        for dirs, corner_steps in steps:
+            corners = [tuple(map(add, v, step)) for step in corner_steps]
+            for c in corners:
+                if c not in inside:
+                    st = member.status(c)
+                    if st <= 0:
+                        if st == 0:
+                            raise SingularOffset("face corner on window boundary")
+                        break
+            else:
+                if inball(v, r) or any(inball(c, r) for c in corners):
+                    faces.append(Face(v, dirs))
     return Patch(s, offset, faces, radius, member)
 
 

@@ -254,14 +254,14 @@ def test_rational_factor_matches_general_product(cx, q):
 MP_DIGITS = 60
 
 
-def _mp_alpha(name):
-    """alpha to MP_DIGITS digits: the root of the minpoly in its interval."""
+def _mp_alpha(name, digits=MP_DIGITS):
+    """alpha to `digits` digits: the root of the minpoly in its interval."""
     f = FIELDS[name]()
     lo, hi = (mpmath.mpf(x.numerator) / x.denominator for x in f.root_interval)
-    with mpmath.workdps(MP_DIGITS + 10):
+    with mpmath.workdps(digits + 10):
         roots = mpmath.polyroots([mpmath.mpf(c.numerator) / c.denominator
                                   for c in reversed(f.minpoly)], extraprec=200)
-        real = [x.real for x in roots if abs(x.imag) < mpmath.mpf(10) ** -MP_DIGITS]
+        real = [x.real for x in roots if abs(x.imag) < mpmath.mpf(10) ** -digits]
         return next(x for x in real if lo <= x <= hi)
 
 
@@ -302,6 +302,59 @@ def test_sign_of_is_the_sign_of_its_enclosure(monkeypatch):
         assert [f.sign_of(c) for c in cases] == filtered
         assert filtered == [_reference_sign(name, c) for c in cases]
         monkeypatch.undo()
+
+
+# -- decimal approximation, against mpmath --------------------------------------
+
+# working digits of the oracle: the near-zero elements cancel about 60 digits,
+# and 50 significant digits of the value remain
+APPROX_DPS = 150
+
+
+APPROX_ALPHA = {name: _mp_alpha(name, APPROX_DPS) for name in FIELDS}
+
+
+def _mp_value(name, coeffs):
+    alpha = APPROX_ALPHA[name]
+    return mpmath.fsum(mpmath.mpf(c.numerator) / c.denominator * alpha ** i
+                       for i, c in enumerate(coeffs))
+
+
+def _assert_approx(text, value, digits):
+    """`text` is `value` rounded at `digits` significant digits: within half
+    a unit of its last place, with the decimal places that place needs."""
+    if value == 0:
+        assert text == ("0." + "0" * (digits - 1) if digits > 1 else "0")
+        return
+    expo = int(mpmath.floor(mpmath.log10(abs(value))))
+    unit = mpmath.mpf(10) ** (expo - digits + 1)
+    assert abs(mpmath.mpf(text) - value) <= unit / 2 * (1 + mpmath.mpf(10) ** -40)
+    places = len(text.partition(".")[2])
+    assert places == max(0, digits - 1 - expo)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_elements(), st.sampled_from([1, 2, 6, 15]))
+def test_approx_matches_mpmath(elem, digits):
+    name, coeffs = elem
+    with mpmath.workdps(APPROX_DPS):
+        value = _mp_value(name, coeffs)
+        _assert_approx(FIELDS[name]().elem(coeffs).approx(digits), value, digits)
+
+
+def test_approx_of_small_values():
+    # a midpoint of an interval of absolute width 10^-12 got these wrong
+    # beyond their first digits
+    f = sqrt2()
+    assert (f.alpha - F(1414213562373, 10 ** 12)).approx(6) == "0.0000000000000950488"
+    assert (f.alpha - F("1.41421356")).approx(6) == "0.00000000237310"
+    assert (F("1.41421356") - f.alpha).approx(3) == "-0.00000000237"
+    assert f.from_rational(F(-1, 3 * 10 ** 20)).approx(2) == "-0.0000000000000000000033"
+    assert (f.alpha * 10 ** 9).approx(3) == "1410000000"
+    with mpmath.workdps(APPROX_DPS):
+        for k in range(0, 90, 3):
+            for x in ((f.alpha - 1) ** k, (f.alpha + 1) ** k):
+                _assert_approx(x.approx(6), _mp_value("quadratic", x.coeffs), 6)
 
 
 # -- integer numerators over one denominator, against sympy ------------------

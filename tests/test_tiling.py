@@ -11,6 +11,8 @@ from slopechar import tiling
 from slopechar.errors import InputError
 from slopechar.geometry import (BOUNDARY, INSIDE, complementary_zonotope,
                                 eprime_basis, window)
+from slopechar.linalg import Matrix, dot, kernel_int
+from slopechar.numfield import NumberField
 from slopechar.slope import Slope
 from slopechar.specfile import spec_offset
 from slopechar.tiling import (Face, LatticeMembership, SingularOffset,
@@ -212,6 +214,78 @@ def test_membership_matches_field_evaluation(name, request):
     for x in box:
         assert at_zero.status(x) == _reference_status(w, b, zero, x)
     assert {at_zero.status(x) for x in box} == {1, 0, -1}
+
+
+# -- the enclosure filter and its exact fallback -------------------------------
+
+
+def _offset_near_a_bound(s, x, eps):
+    """The offset o with B x - o = c + eps nu, where nu is the normal of the
+    window's first slab and c the center of the facet on its upper bound:
+    |eps| nu.nu from that bound, outside it for eps > 0, inside for eps < 0,
+    and strictly inside every other slab for eps small enough."""
+    w = window(s)
+    nu = w.slabs[0][0]
+    c = list(w.base)
+    for g in w.generators:
+        t = dot(nu, g)
+        if not t < 0:
+            c = [a + (e if t > 0 else e / 2) for a, e in zip(c, g)]
+    return tuple(a - ci - eps * e for a, ci, e in zip(eprime_basis(s).apply(x), c, nu))
+
+
+def test_exact_fallback_decides_a_point_just_inside_a_bound(ab, monkeypatch):
+    # eps = (sqrt 2 - 1)^80, about 2^-101.7: the point is closer to the bound
+    # than the enclosures of its slab value and of the bound resolve
+    w, b = window(ab), eprime_basis(ab)
+    nu = w.slabs[0][0]
+    eps = (ab.field.alpha - 1) ** 80
+    assert 0 < eps * dot(nu, nu) < F(1, 2 ** 90)
+    x = (1, -2, 0, 3)
+    offset = _offset_near_a_bound(ab, x, -eps)
+    member = LatticeMembership(w, b, offset)
+    calls = []
+    interval_of = NumberField.interval_of
+    monkeypatch.setattr(NumberField, "interval_of",
+                        lambda f, num: calls.append(num) or interval_of(f, num))
+    assert member.status(x) == 1
+    assert calls
+    monkeypatch.undo()
+    assert _reference_status(w, b, offset, x) == 1
+    # just outside the same bound
+    offset = _offset_near_a_bound(ab, x, eps)
+    assert LatticeMembership(w, b, offset).status(x) == -1
+    assert _reference_status(w, b, offset, x) == -1
+
+
+def test_filter_swaps_the_ends_for_negative_coordinates(quad42):
+    # x and -x in the integer kernel of the first slab's functional nu . B,
+    # with entries of both signs on columns of different values: the bound
+    # nu . offset stays free of x, so its enclosure is narrow while the
+    # enclosure of nu . B x is as wide as x makes it.  B x - offset lies
+    # 2^-300 nu.nu outside the first slab, much closer than that enclosure
+    # resolves.
+    s = quad42
+    w, b = window(s), eprime_basis(s)
+    nu = w.slabs[0][0]
+    values = [dot(nu, b.col(j)) for j in range(s.n)]
+    kernel = kernel_int(Matrix([[e.coeffs[i] for e in values]
+                                for i in range(s.field.degree)]))
+    z = next(v for v in kernel if min(v) < 0 < max(v))
+    for x in (z, tuple(-c for c in z)):
+        offset = _offset_near_a_bound(s, x, F(1, 2 ** 300))
+        assert LatticeMembership(w, b, offset).status(x) == -1
+        assert _reference_status(w, b, offset, x) == -1
+
+
+def test_point_on_a_bound_is_on_the_boundary(ab):
+    x = (1, 0, 0, 0)
+    offset = _offset_near_a_bound(ab, x, 0)
+    w, b = window(ab), eprime_basis(ab)
+    assert LatticeMembership(w, b, offset).status(x) == 0
+    assert _reference_status(w, b, offset, x) == 0
+    with pytest.raises(SingularOffset):
+        digitize(ab, offset=offset, radius=F(4))
 
 
 # SHA-256 of patch_json at radius 9, recorded with the FieldElem membership
