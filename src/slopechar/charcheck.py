@@ -8,6 +8,7 @@ Non-generic slopes get an informational analysis instead of a verdict.
 
 from __future__ import annotations
 
+import heapq
 import math
 import time
 from dataclasses import dataclass, field
@@ -17,14 +18,125 @@ from .coincidence import (Degenerate, InconsistentSystem, all_equations,
                           grassmann_variables, minimize_r, realize)
 from .errors import InputError, ResourceLimit
 from .numfield import count_real_roots, poly_eval, poly_trim, rat_str
-from .polyring import (Poly, grevlex_key, monomial_div, monomial_divides,
-                       monomial_lcm)
+from .polyring import Poly, grevlex_key
 from .slope import (Slope, _perm_sign, grassmann, is_generic,
                     plucker_relation_index_pairs)
 
 DEGREE_CAP = 12
 BASIS_CAP = 10000
 MINPOLY_DEGREE_CAP = 8
+
+
+# ---------------------------------------------------------------------------
+# packed integer polynomials
+
+
+class _Ring:
+    """Packed monomials in nvars variables, every total degree at most
+    max_degree.
+
+    A monomial is the int K = (deg << S) - sum(e_i << W*i), S = W*nvars, with
+    W bits per exponent, the top one a guard bit that no exponent reaches.
+    Int order is then grevlex, K_a + K_b is the product, K_b - K_a the
+    quotient, and a divides b iff (K_a - K_b) & guard is 0: subtracting the
+    fields sets the guard bit of the lowest field that underflows (Monagan
+    and Pearce, J. Symb. Comp. 2011).  A polynomial is a dict {K: int}."""
+
+    def __init__(self, nvars, max_degree):
+        self.nvars = nvars
+        self.width = w = max_degree.bit_length() + 1
+        self.shift = w * nvars
+        self.low = (1 << self.shift) - 1
+        self.guard = sum(1 << (w * i + w - 1) for i in range(nvars))
+
+    def pack(self, mono):
+        v = 0
+        for i, e in enumerate(mono):
+            v |= e << (self.width * i)
+        return (sum(mono) << self.shift) - v
+
+    def unpack(self, k):
+        v = -k & self.low
+        field = (1 << self.width) - 1
+        return tuple((v >> (self.width * i)) & field for i in range(self.nvars))
+
+    def degree(self, k):
+        return (k + self.low) >> self.shift
+
+    def lcm(self, a, b):
+        w = self.width
+        va, vb = -a & self.low, -b & self.low
+        # guard bit of each field where a's exponent is at least b's; the
+        # guard bits set in va keep the fields from borrowing from each other
+        ge = ((va | self.guard) - vb) & self.guard
+        ones = ge >> (w - 1)
+        mask = (ones << w) - ones
+        v = (va & mask) | (vb & ~mask)
+        # the sum of the fields, read off modulo 2^W - 1
+        return ((v % ((1 << w) - 1)) << self.shift) - v
+
+    def primitive(self, p: Poly):
+        """p's terms as coprime integers, the leading one positive."""
+        den = math.lcm(*(c.denominator for c in p.terms.values()))
+        return _primitive({self.pack(m): c.numerator * (den // c.denominator)
+                           for m, c in p.terms.items()})
+
+    def poly(self, terms, den=1):
+        """The Poly of terms / den, terms in descending order."""
+        return Poly(self.nvars, {self.unpack(m): Fraction(terms[m], den)
+                                 for m in sorted(terms, reverse=True)})
+
+
+def _primitive(terms):
+    """terms divided by their content, the leading coefficient made positive."""
+    g = math.gcd(*terms.values())
+    if terms[max(terms)] < 0:
+        g = -g
+    return terms if g == 1 else {m: c // g for m, c in terms.items()}
+
+
+def _split(terms):
+    """(lead, lead coefficient, tail items) of a nonzero term dict."""
+    lead = max(terms)
+    return lead, terms[lead], tuple((m, c) for m, c in terms.items() if m != lead)
+
+
+def _normal_form(work, reducers, guard):
+    """Full reduction of the term dict `work` (consumed) by `reducers`, a list
+    of (lead, lead coefficient > 0, tail items), each step by the first
+    reducer whose lead divides the leading term.
+
+    Fraction-free: a step scales the work by a / gcd(a, c) for the reducer's
+    lead coefficient a and the term's coefficient c, then subtracts an
+    integer multiple of the reducer.  Returns (r, s) with r = s * NF exactly
+    and s a positive int, r in descending order."""
+    out = []  # (monomial, coefficient, scale of the work when it left)
+    s = 1
+    while work:
+        t = max(work)
+        c = work.pop(t)
+        for lm, a, tail in reducers:
+            if not (lm - t) & guard:
+                break
+        else:
+            out.append((t, c, s))
+            continue
+        q = math.gcd(a, c)
+        if q != a:
+            scale = a // q
+            s *= scale
+            for m in work:
+                work[m] *= scale
+        f = c // q
+        shift = t - lm
+        for m, cm in tail:
+            m += shift
+            v = work.get(m, 0) - f * cm
+            if v:
+                work[m] = v
+            else:
+                del work[m]
+    return {t: c * (s // at) for t, c, at in out}, s
 
 
 # ---------------------------------------------------------------------------
@@ -81,28 +193,34 @@ def plucker_polys(n, d):
 
 
 def span_reduce(polys):
-    """Q-linearly independent triangular basis of the span (sparse Gauss)."""
-    pivots = {}  # leading monomial -> term dict
+    """Q-linearly independent triangular basis of the span (sparse Gauss,
+    fraction-free), content-normalized and sorted by leading monomial."""
+    polys = [p for p in polys if p]
+    if not polys:
+        return []
+    ring = _Ring(polys[0].nvars, max(p.degree() for p in polys))
+    pivots = {}  # leading monomial -> primitive row, leading coefficient > 0
     for p in polys:
-        row = dict(p.terms)
+        row = ring.primitive(p)
         while row:
-            lead = max(row, key=grevlex_key)
+            lead = max(row)
             hit = pivots.get(lead)
             if hit is None:
                 break
-            f = row[lead]
-            for m, c in hit.items():
-                v = row.get(m, Fraction(0)) - f * c
+            a, c = hit[lead], row[lead]
+            q = math.gcd(a, c)
+            if q != a:
+                row = {m: v * (a // q) for m, v in row.items()}
+            f = c // q
+            for m, cm in hit.items():
+                v = row.get(m, 0) - f * cm
                 if v:
                     row[m] = v
                 else:
-                    row.pop(m, None)
+                    del row[m]
         if row:
-            lc = row[lead]
-            pivots[lead] = {m: c / lc for m, c in row.items()}
-    nvars = polys[0].nvars if polys else 0
-    ordered = sorted(pivots, key=grevlex_key)
-    return [Poly(nvars, pivots[m]).content_normalized() for m in ordered]
+            pivots[lead] = _primitive(row)
+    return [ring.poly(pivots[m]) for m in sorted(pivots)]
 
 
 def assemble_ideal(s: Slope, equations=None, normalize_at=None):
@@ -134,127 +252,85 @@ def assemble_ideal(s: Slope, equations=None, normalize_at=None):
 # Buchberger
 
 
-def _reduce_terms(terms, basis_lt):
-    """Full normal form of a term dict against [(lm, lc, terms)] entries."""
-    work = dict(terms)
-    out = {}
-    while work:
-        lead = max(work, key=grevlex_key)
-        c = work.pop(lead)
-        for lm, lc, bt in basis_lt:
-            if monomial_divides(lm, lead):
-                shift = monomial_div(lead, lm)
-                f = c / lc
-                for m, cm in bt.items():
-                    mm = tuple(a + b for a, b in zip(m, shift))
-                    if mm == lead:
-                        continue
-                    v = work.get(mm, out.pop(mm, Fraction(0))) - f * cm
-                    if v:
-                        work[mm] = v
-                    else:
-                        work.pop(mm, None)
-                break
-        else:
-            out[lead] = c
-    return out
-
-
-def normal_form(p: Poly, basis):
-    """Remainder of p on multivariate division by the basis list."""
-    basis_lt = [(g.leading()[0], g.leading()[1], g.terms) for g in basis if g]
-    return Poly(p.nvars, _reduce_terms(p.terms, basis_lt))
-
-
-def s_polynomial(f: Poly, g: Poly):
-    mf, cf = f.leading()
-    mg, cg = g.leading()
-    lcm = monomial_lcm(mf, mg)
-    tf = monomial_div(lcm, mf)
-    tg = monomial_div(lcm, mg)
-    terms = {}
-    for m, c in f.terms.items():
-        mm = tuple(a + b for a, b in zip(m, tf))
-        terms[mm] = terms.get(mm, Fraction(0)) + c / cf
-    for m, c in g.terms.items():
-        mm = tuple(a + b for a, b in zip(m, tg))
-        terms[mm] = terms.get(mm, Fraction(0)) - c / cg
-    return Poly(f.nvars, terms)
-
-
 def buchberger(ideal: PolyIdeal, degree_cap=DEGREE_CAP, basis_cap=BASIS_CAP):
-    """Reduced Groebner basis (grevlex) of the ideal's generators."""
-    import heapq
+    """Reduced Groebner basis (grevlex) of the ideal's generators, as monic
+    Polys sorted by leading monomial.
 
-    basis = [g.monic() for g in ideal.generators if g]
-    if not basis:
+    Works on packed monomials with primitive integer coefficients, so each
+    basis element is a positive multiple of the monic one.  Pairs come in
+    order of their lcm, then of their indices; the product criterion and
+    the chain criterion skip pairs."""
+    gens = ideal.generators
+    if not gens:
         return []
-    lms = [g.leading()[0] for g in basis]
+    # an S-polynomial has at most the degree of two basis elements together,
+    # and reduction never raises the degree
+    ring = _Ring(gens[0].nvars,
+                 2 * max(degree_cap, max(g.degree() for g in gens)))
+    guard = ring.guard
+    basis = [_split(ring.primitive(g)) for g in gens]
     heap = []
     pending = set()
 
     def add_pairs(k):
+        lk = basis[k][0]
         for i in range(k):
-            lcm = monomial_lcm(lms[i], lms[k])
-            if lcm == tuple(a + b for a, b in zip(lms[i], lms[k])):
+            li = basis[i][0]
+            lcm = ring.lcm(li, lk)
+            if lcm == li + lk:
                 continue  # coprime leading monomials: S-poly reduces to 0
-            heapq.heappush(heap, (grevlex_key(lcm), i, k, lcm))
+            heapq.heappush(heap, (lcm, i, k))
             pending.add((i, k))
 
     for k in range(len(basis)):
         add_pairs(k)
-    basis_lt = [(g.leading()[0], g.leading()[1], g.terms) for g in basis]
     while heap:
-        _, i, j, lcm = heapq.heappop(heap)
+        lcm, i, j = heapq.heappop(heap)
         if (i, j) not in pending:
             continue
         pending.discard((i, j))
-        pairs = pending
         # chain criterion: some other basis element divides the lcm and both
         # of its pairs with i, j are already handled
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j) or not monomial_divides(lms[k], lcm):
-                continue
-            a = (min(i, k), max(i, k))
-            b = (min(j, k), max(j, k))
-            if a not in pairs and b not in pairs:
-                skip = True
-                break
-        if skip:
+        if any(k != i and k != j and not (lk - lcm) & guard
+               and (min(i, k), max(i, k)) not in pending
+               and (min(j, k), max(j, k)) not in pending
+               for k, (lk, _, _) in enumerate(basis)):
             continue
-        sp = s_polynomial(basis[i], basis[j])
-        rem = _reduce_terms(sp.terms, basis_lt)
+        li, ai, ti = basis[i]
+        lj, aj, tj = basis[j]
+        q = math.gcd(ai, aj)
+        fi, fj = aj // q, ai // q
+        si, sj = lcm - li, lcm - lj
+        sp = {m + si: fi * c for m, c in ti}
+        for m, c in tj:
+            m += sj
+            v = sp.get(m, 0) - fj * c
+            if v:
+                sp[m] = v
+            else:
+                del sp[m]
+        rem, _ = _normal_form(sp, basis, guard)
         if not rem:
             continue
-        h = Poly(sp.nvars, rem).monic()
-        if h.degree() > degree_cap:
-            raise ResourceLimit(f"degree {h.degree()} exceeds cap {degree_cap}")
+        h = _split(_primitive(rem))
+        deg = ring.degree(h[0])
+        if deg > degree_cap:
+            raise ResourceLimit(f"degree {deg} exceeds cap {degree_cap}")
         if len(basis) >= basis_cap:
             raise ResourceLimit(f"basis size exceeds cap {basis_cap}")
         basis.append(h)
-        lms.append(h.leading()[0])
-        basis_lt.append((lms[-1], Fraction(1), h.terms))
         add_pairs(len(basis) - 1)
-    return _interreduce(basis)
-
-
-def _interreduce(basis):
-    """Minimal then reduced basis: prune dominated leads, tail-reduce, sort."""
-    basis = [g for g in basis if g]
-    keep = []
-    for i, g in enumerate(basis):
-        lm = g.leading()[0]
-        dominated = any(
-            monomial_divides(h.leading()[0], lm) and (j < i or h.leading()[0] != lm)
-            for j, h in enumerate(basis) if j != i and monomial_divides(h.leading()[0], lm))
-        if not dominated:
-            keep.append(g)
+    # minimal basis: drop each element whose lead another lead divides (of
+    # equal leads the first stays); then reduce each tail by the others
+    keep = sorted(
+        (b for i, b in enumerate(basis)
+         if not any(j != i and not (lj - b[0]) & guard and (j < i or lj != b[0])
+                    for j, (lj, _, _) in enumerate(basis))),
+        key=lambda b: b[0])
     out = []
-    for i, g in enumerate(keep):
-        others = keep[:i] + keep[i + 1:]
-        out.append(normal_form(g, others).monic())
-    out.sort(key=lambda g: grevlex_key(g.leading()[0]))
+    for i, (lm, a, tail) in enumerate(keep):
+        rem, s = _normal_form(dict(tail), keep[:i] + keep[i + 1:], guard)
+        out.append(ring.poly({lm: a * s, **rem}, a * s))
     return out
 
 
@@ -341,15 +417,20 @@ def minimal_polynomial_of(var, gb, nvars):
     satisfied by the variable modulo the ideal of gb, or None if that degree
     exceeds MINPOLY_DEGREE_CAP."""
     cap = MINPOLY_DEGREE_CAP
-    basis_lt = [(g.leading()[0], g.leading()[1], g.terms) for g in gb]
-    unit = tuple(1 if i == var else 0 for i in range(nvars))
-    nf = {(0,) * nvars: Fraction(1)}
+    # the normal form of var^k has at most degree k
+    ring = _Ring(nvars, max([cap + 1] + [g.degree() for g in gb]))
+    reducers = [_split(ring.primitive(g)) for g in gb]
+    x = ring.pack(tuple(1 if i == var else 0 for i in range(nvars)))
+    # the normal form of var^k is scale * nf (of 1 too: it is 0 in the unit
+    # ideal)
+    nf, s = _normal_form({0: 1}, reducers, ring.guard)
+    scale = Fraction(1, s)
     rows = []  # (pivot mono, vector, combination over power basis)
     for k in range(cap + 1):
-        vec = dict(nf)
+        vec = {m: c * scale for m, c in nf.items()}
         comb = [Fraction(0)] * (cap + 1)
         comb[k] = Fraction(1)
-        for pm, pv, pc in sorted(rows, key=lambda r: grevlex_key(r[0]), reverse=True):
+        for pm, pv, pc in sorted(rows, key=lambda r: r[0], reverse=True):
             f = vec.get(pm)
             if not f:
                 continue
@@ -365,13 +446,13 @@ def minimal_polynomial_of(var, gb, nvars):
             coeffs = poly_trim(comb)
             lead = coeffs[-1]
             return [c / lead for c in coeffs]
-        pm = max(vec, key=grevlex_key)
+        pm = max(vec)
         lc = vec[pm]
         rows.append((pm, {m: c / lc for m, c in vec.items()},
                      [c / lc for c in comb]))
-        nf = _reduce_terms(
-            {tuple(a + b for a, b in zip(m, unit)): c for m, c in nf.items()},
-            basis_lt)
+        nf, s = _normal_form({m + x: c for m, c in nf.items()}, reducers,
+                             ring.guard)
+        scale /= s
     return None
 
 

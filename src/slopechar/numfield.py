@@ -666,8 +666,18 @@ class FieldElem:
         return ("-" if neg else "") + out
 
     def __float__(self):
-        lo, hi = self.interval(Fraction(1, 10**20))
-        return float((lo + hi) / 2)
+        """The value correctly rounded to a double.  The interval enclosure
+        is refined until both ends round to the same double; an irrational
+        value is no rounding tie, so refinement ends."""
+        if self.is_rational():
+            return float(Fraction(self.num[0], self.den))
+        f = self.field
+        while True:
+            lo, hi = f.interval_of(self.num)
+            lo = float(lo / self.den)
+            if lo == float(hi / self.den):
+                return lo
+            f._refine()
 
     def floor(self) -> int:
         """Exact integer floor under the real embedding."""

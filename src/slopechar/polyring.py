@@ -3,7 +3,8 @@
 A polynomial is a dict {exponent tuple: Fraction}; the variable names live
 beside the data (typically Grassmann symbols "G12", "G134", ...).  Kept
 minimal: arithmetic, evaluation, fixing variables to rationals, and the
-ordering and monomial hooks for Buchberger.
+grevlex order.  Groebner bases are computed in `charcheck`, on packed
+integer monomials with integer coefficients.
 """
 
 from __future__ import annotations
@@ -165,14 +166,3 @@ class Poly:
     def __repr__(self):
         return f"Poly({len(self.terms)} terms, nvars={self.nvars})"
 
-
-def monomial_divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
-
-
-def monomial_div(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def monomial_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction as F
 from itertools import combinations
@@ -7,15 +8,20 @@ from pathlib import Path
 import jsonschema
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from groebner_oracle import (monomial_div, monomial_divides, monomial_lcm,
+                             normal_form, s_polynomial)
 from slopechar import cli
-from slopechar.charcheck import (PolyIdeal, ResourceLimit, _free_variables,
+from slopechar.charcheck import (MINPOLY_DEGREE_CAP, PolyIdeal, ResourceLimit,
+                                 _free_variables, _normal_form, _Ring, _split,
                                  assemble_ideal, buchberger, isolate_real_roots,
-                                 minimal_polynomial_of, normal_form, plucker_polys,
-                                 s_polynomial, span_reduce, verdict)
+                                 minimal_polynomial_of, plucker_polys,
+                                 span_reduce, verdict)
 from slopechar.coincidence import grassmann_variables
 from slopechar.linalg import Matrix, det
-from slopechar.polyring import Poly
+from slopechar.polyring import Poly, grevlex_key
 
 X, Y, Z = range(3)
 
@@ -161,6 +167,100 @@ def test_minimal_polynomial_of():
     gens = [_p2({(1, 0): 1, (0, 0): -3}), _p2({(0, 2): 1, (0, 1): 1})]
     gb = buchberger(PolyIdeal(["x", "y"], gens))
     assert minimal_polynomial_of(X, gb, 2) == [F(-3), F(1)]
+
+
+def test_oracle_monomial_helpers():
+    assert monomial_divides((1, 0), (2, 1))
+    assert not monomial_divides((1, 2), (2, 1))
+    assert monomial_div((2, 1), (1, 0)) == (1, 1)
+    assert monomial_lcm((2, 0), (1, 3)) == (2, 3)
+
+
+SYMS = sympy.symbols("x0 x1 x2 x3")
+
+
+def _polys(nv):
+    """Polynomials of degree <= 4 in nv variables, with non-integer,
+    non-monic rational coefficients."""
+    mono = st.tuples(*[st.integers(0, 4)] * nv).filter(lambda m: sum(m) <= 4)
+    coef = st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool)
+    return st.dictionaries(mono, coef, min_size=1, max_size=4).map(
+        lambda terms: Poly(nv, terms))
+
+
+@st.composite
+def _ideals(draw):
+    """(nvars, generators): up to 3 generators in 2-4 variables."""
+    nv = draw(st.integers(2, 4))
+    return nv, draw(st.lists(_polys(nv), min_size=1, max_size=3))
+
+
+def _sympy_basis(gens, syms):
+    ref = sympy.groebner([_to_sympy(g, syms) for g in gens], *syms, order="grevlex")
+    return [_from_sympy(e, syms).monic() for e in ref.exprs]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_ideals())
+def test_buchberger_equals_sympy_reduced_basis(ideal):
+    nv, gens = ideal
+    gb = buchberger(PolyIdeal(["x%d" % i for i in range(nv)], gens))
+    theirs = _sympy_basis(gens, SYMS[:nv])
+    assert gb == sorted(theirs, key=lambda g: grevlex_key(g.leading()[0]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_ideals(), st.data())
+def test_kernel_normal_form_equals_oracle(ideal, data):
+    # reduction by an arbitrary list, not only by a Groebner basis
+    nv, basis = ideal
+    p = data.draw(_polys(nv)) * data.draw(_polys(nv))
+    ring = _Ring(nv, max(g.degree() for g in basis + [p]))
+    den = math.lcm(*(c.denominator for c in p.terms.values()))
+    work = {ring.pack(m): int(c * den) for m, c in p.terms.items()}
+    r, s = _normal_form(work, [_split(ring.primitive(g)) for g in basis], ring.guard)
+    assert s > 0
+    assert ring.poly(r, s * den) == normal_form(p, basis)
+
+
+def _sympy_minimal_polynomial(var, gens, nv):
+    """Ascending coefficients of the first monic linear relation among the
+    normal forms of var^0, var^1, ... that sympy's basis gives, or None if
+    there is none up to MINPOLY_DEGREE_CAP."""
+    syms = SYMS[:nv]
+    ref = sympy.groebner([_to_sympy(g, syms) for g in gens], *syms, order="grevlex")
+    nfs = [sympy.Poly(ref.reduce(syms[var] ** k)[1], *syms).as_dict()
+           for k in range(MINPOLY_DEGREE_CAP + 1)]
+    for k in range(len(nfs)):
+        monos = sorted({m for nf in nfs[:k + 1] for m in nf})
+        mat = sympy.Matrix(len(monos), k + 1,
+                           lambda i, j: nfs[j].get(monos[i], 0))
+        kernel = mat.nullspace()
+        if kernel:
+            v = kernel[0]
+            return [F(int(c.p), int(c.q)) for c in (x / v[k] for x in v)]
+    return None
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_ideals())
+def test_minimal_polynomial_of_equals_sympy(ideal):
+    nv, gens = ideal
+    gb = buchberger(PolyIdeal(["x%d" % i for i in range(nv)], gens))
+    for var in range(nv):
+        assert minimal_polynomial_of(var, gb, nv) == \
+            _sympy_minimal_polynomial(var, gens, nv)
+
+
+def test_buchberger_with_exponents_past_eight_bits():
+    # the exponent field width comes from the input's degree: 260 needs nine
+    # bits and a guard bit, which DEGREE_CAP alone would not give
+    gens = [_p2({(260, 0): 1, (0, 1): F(-1, 3)}),
+            _p2({(259, 1): 2, (0, 0): -1})]
+    gb = buchberger(PolyIdeal(["x", "y"], gens))
+    theirs = _sympy_basis(gens, SYMS[:2])
+    assert gb == sorted(theirs, key=lambda g: grevlex_key(g.leading()[0]))
+    assert max(g.degree() for g in gb) >= 256
 
 
 def test_isolate_real_roots_quadratic():

@@ -112,6 +112,39 @@ def test_rpatterns_exact_golden(tmp_path, spec, r, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+# a fixed-stream 5->3 slope of the verdict benchmark: NotCharacterized, with a
+# 10-variable Groebner basis
+GEN53Q3 = """\
+minpoly = ["-2", "3", "2", "1"]
+root_interval = ["0", "1"]
+n = 5
+d = 3
+generators = [[["1", "0", "0"], ["0", "0", "0"], ["0", "0", "0"], ["-1", "-1", "-1"], \
+["0", "1", "0"]], [["0", "0", "0"], ["1", "0", "0"], ["0", "0", "0"], ["0", "0", "0"], \
+["1", "1", "-1"]], [["0", "0", "0"], ["0", "0", "0"], ["1", "0", "0"], ["1", "0", "-1"], \
+["-1", "0", "0"]]]
+normalization = "G123"
+"""
+
+
+@pytest.mark.parametrize("spec, digest", [
+    ("typical", "04e15b6dc81e2deac3a2d4afc4ed30b97dffe3b5c58c076fa00ba16573c92fba"),
+    ("ammann_beenker", "e2b3414a87f5ec0b1324f0cba7b8619bab0e00a02d3123cdaf3e4069f73affbc"),
+    ("gen53q3", "4e19b7341a17c943f61f0ab6b5544a26c7c628338c92914aab24a4d539506592"),
+])
+def test_verdict_golden(tmp_path, spec, digest):
+    # Groebner bases, witnesses and r-bounds as reduction over Fraction
+    # coefficients gave them; timings aside
+    path = FIXTURES / f"{spec}.slope"
+    if spec == "gen53q3":
+        path = tmp_path / "gen53q3.slope"
+        path.write_text(GEN53Q3)
+    doc, _ = _run_json(["verdict", str(path)], tmp_path, "verdict")
+    doc.pop("timings")
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_equations(tmp_path):
     doc, _ = _run_json(["equations", TYPICAL], tmp_path, "equations")
     assert len(doc["equations"]) == 8

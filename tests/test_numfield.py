@@ -357,6 +357,34 @@ def test_approx_of_small_values():
                 _assert_approx(x.approx(6), _mp_value("quadratic", x.coeffs), 6)
 
 
+def _assert_nearest_double(d, value):
+    """No double is closer to `value` than d."""
+    err = abs(mpmath.mpf(d) - value)
+    for other in (math.nextafter(d, math.inf), math.nextafter(d, -math.inf)):
+        assert err <= abs(mpmath.mpf(other) - value)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_elements())
+def test_float_is_nearest_double(elem):
+    name, coeffs = elem
+    with mpmath.workdps(APPROX_DPS):
+        _assert_nearest_double(float(FIELDS[name]().elem(coeffs)),
+                               _mp_value(name, coeffs))
+
+
+def test_float_of_small_values():
+    # a midpoint of an interval of absolute width 10^-20 gave -2.11e-21 here
+    f = sqrt2()
+    x = (f.alpha - 1) ** 80
+    assert x.sign() == 1 and 2.38e-31 < float(x) < 2.40e-31
+    assert float(f.from_rational(F(-1, 3 * 10 ** 40))) == -1 / 3e40
+    with mpmath.workdps(APPROX_DPS):
+        for k in range(0, 90, 3):
+            for x in ((f.alpha - 1) ** k, (f.alpha + 1) ** k, -(f.alpha - 1) ** k):
+                _assert_nearest_double(float(x), _mp_value("quadratic", x.coeffs))
+
+
 # -- integer numerators over one denominator, against sympy ------------------
 
 X = sympy.Symbol("x")

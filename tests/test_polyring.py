@@ -3,8 +3,7 @@ from fractions import Fraction as F
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slopechar.polyring import (Poly, grevlex_key, monomial_div,
-                                monomial_divides, monomial_lcm)
+from slopechar.polyring import Poly, grevlex_key
 
 
 def P(terms):
@@ -80,13 +79,6 @@ def test_pretty():
     names = ["x", "y"]
     assert p.pretty(names) == "-x^2 + x*y - 2"
     assert Poly.zero(2).pretty(names) == "0"
-
-
-def test_monomial_helpers():
-    assert monomial_divides((1, 0), (2, 1))
-    assert not monomial_divides((1, 2), (2, 1))
-    assert monomial_div((2, 1), (1, 0)) == (1, 1)
-    assert monomial_lcm((2, 0), (1, 3)) == (2, 3)
 
 
 coef = st.integers(min_value=-4, max_value=4)
