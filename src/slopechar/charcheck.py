@@ -83,8 +83,8 @@ class _Ring:
 
     def poly(self, terms, den=1):
         """The Poly of terms / den, terms in descending order."""
-        return Poly(self.nvars, {self.unpack(m): Fraction(terms[m], den)
-                                 for m in sorted(terms, reverse=True)})
+        return Poly.from_terms(self.nvars, {self.unpack(m): Fraction(terms[m], den)
+                                            for m in sorted(terms, reverse=True)})
 
 
 def _primitive(terms):
@@ -144,15 +144,13 @@ def _normal_form(work, reducers, guard):
 
 
 class PolyIdeal:
-    """Content-normalized generators over named variables, grevlex order."""
+    """Nonzero generators over named variables, grevlex order.  `buchberger`
+    makes each primitive itself; `assemble_ideal`'s generators are
+    `span_reduce`'s, already content-normalized and distinct."""
 
     def __init__(self, names, generators, active=None):
         self.names = tuple(names)
-        gens = []
-        for g in generators:
-            if g:
-                gens.append(g.content_normalized())
-        self.generators = tuple(dict.fromkeys(gens))
+        self.generators = tuple(g for g in generators if g)
         self.active = tuple(active) if active is not None else tuple(range(len(names)))
 
     def __repr__(self):

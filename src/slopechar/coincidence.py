@@ -10,14 +10,16 @@ lattice vectors are realized in E' coordinates.  Everything is exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import prod
+from operator import mul
 
 from .geometry import eprime_basis
-from .linalg import Matrix, kernel_int, lll, solve_right
-from .numfield import FieldElem, _cofactors
+from .linalg import Matrix, kernel_int, lll, rref_int
+from .numfield import FieldElem, _canonical, _cofactors
 from .polyring import Poly
 from .slope import Slope, grassmann
 
@@ -196,38 +198,118 @@ class Coincidence:
     vector: tuple          # the integer entries a
 
 
+class _Realizer:
+    """The realization system of one (slope, type), eliminated once.
+
+    B(x_0 - x_i) = 0, i = 1..n-d, reads L r = W v for the real entries r:
+    the field matrix L stacks the blocks B A_i, and W = -B C_i maps the
+    integer entries v to the right-hand side (C_i the column-0 rows of block
+    i).  Writing r_c = sum_t y_{c,t} alpha^t expands [L | W] over Q, one
+    rational row per field row and power of alpha; each is cleared of
+    denominators, and the integer system gets one fraction-free Gauss-Jordan
+    elimination (`rref_int`) with the columns (c, t) in c-major order.  Over
+    Q(alpha) the span of the earlier blocks is a Q(alpha)-subspace, so a
+    block's k columns are all pivots (column c of L is independent of the
+    earlier ones) or none: the pivot blocks are the field pivots of L, and
+    y = 0 on the free blocks is the field solution with its free entries 0.
+    """
+
+    __slots__ = ("solve", "checks", "layout")
+
+    def __init__(self, s: Slope, t: CoincidenceType):
+        field = s.field
+        k = field.degree
+        n, p = s.n, t.p
+        scale, red = field._reduction
+        top = scale ** (k - 1)
+        col0, a_rows = _integer_part(t)
+        b = eprime_basis(s)
+        rows = []
+        for blk in range(0, len(a_rows), n):
+            # block rows of [A | -C]: the field row [L | W] is B times them
+            fixed = [a_rows[blk + j] + [-col0[blk + j].get(q, 0) for q in range(t.num_a)]
+                     for j in range(n)]
+            for brow in b.rows:
+                # [L | W] as integer numerators over the B row's denominator
+                den = math.lcm(*(e.den for e in brow))
+                ents = [[0] * k for _ in range(p + t.num_a)]
+                for e, row in zip(brow, fixed):
+                    x = [c * (den // e.den) for c in e.num]
+                    for c, sign in enumerate(row):
+                        if sign:
+                            ents[c] = [a + sign * y for a, y in zip(ents[c], x)]
+                # column (c, tt) holds top * L_c alpha^tt; with the field's
+                # table, scale * x alpha = scale * (x shifted up) + x_{k-1} * red[0]
+                cols = []
+                for x in ents[:p]:
+                    cols.append([top * c for c in x])
+                    for tt in range(1, k):
+                        x = [scale * a + x[-1] * r for a, r in zip([0] + x[:-1], red[0])]
+                        cols.append([c * scale ** (k - 1 - tt) for c in x])
+                for tt in range(k):
+                    row = [col[tt] for col in cols] + [top * x[tt] for x in ents[p:]]
+                    g = math.gcd(*row)
+                    rows.append([c // g for c in row] if g > 1 else row)
+        pivots, d = rref_int(rows, p * k)
+        if len(pivots) != k * len({c // k for c in pivots}):
+            raise RuntimeError("realization pivots are not whole blocks")
+        # block c: y_{c,t} = (row_t . v) / d, over the block's own content
+        self.solve = [None] * p
+        for i in range(0, len(pivots), k):
+            block = [rows[i + tt][p * k:] for tt in range(k)]
+            g = math.gcd(d, *(c for row in block for c in row)) * (1 if d > 0 else -1)
+            self.solve[pivots[i] // k] = (
+                tuple([c // g for c in row] for row in block), d // g)
+        self.checks = []
+        for row in rows[len(pivots):]:
+            g = math.gcd(*row)
+            if g:
+                self.checks.append([c // g for c in row[p * k:]])
+        aidx, ridx = t.a_index(), t.r_index()
+        self.layout = tuple(
+            tuple((True, aidx[(i, j)]) if (i, j) in aidx else (False, ridx[(i, j)])
+                  for j in range(1, n + 1))
+            for i in range(len(t.subsets)))
+
+
+def _realizer(s: Slope, t: CoincidenceType) -> _Realizer:
+    """The eliminated realization system of (s, t), cached on the slope."""
+    cache = getattr(s, "_realizers", None)
+    if cache is None:
+        cache = s._realizers = {}
+    got = cache.get(t.subsets)
+    if got is None:
+        got = cache[t.subsets] = _Realizer(s, t)
+    return got
+
+
 def realize(s: Slope, t: CoincidenceType, v):
     """Solve B(x_0 - x_i) = 0, i = 1..n-d, for the real entries, with B the
     E' basis, whose kernel is E; Degenerate when points collide.  Unique
     unless the fixed part N of M is rank-deficient; then the free real
-    entries are set to 0."""
+    entries are set to 0.
+
+    The system of (s, t) is eliminated once (`_Realizer`); a vector then
+    costs integer dot products: each consistency row must vanish, and each
+    pivot block gives the numerators of one real entry over its
+    denominator."""
     _check_shape(s, t)
-    n = s.n
-    col0, a_rows = _integer_part(t)
-    c0 = _column0(col0, v)
-    b = eprime_basis(s)
-    lhs, rhs = [], []
-    for i in range(0, len(a_rows), n):
-        lhs.extend((b * Matrix(a_rows[i:i + n])).rows)
-        rhs.extend(-x for x in b.apply(c0[i:i + n]))
-    rvals = solve_right(Matrix(lhs), rhs)
-    if rvals is None:
-        raise InconsistentSystem("vector is not in the coincidence lattice")
-    aidx = t.a_index()
-    ridx = t.r_index()
-    points = []
-    for i in range(len(t.subsets)):
-        pt = []
-        for j in range(1, s.n + 1):
-            if (i, j) in aidx:
-                pt.append(v[aidx[(i, j)]])
-            else:
-                pt.append(rvals[ridx[(i, j)]])
-        points.append(tuple(pt))
+    system = _realizer(s, t)
+    for row in system.checks:
+        if sum(map(mul, row, v)):
+            raise InconsistentSystem("vector is not in the coincidence lattice")
+    field = s.field
+    zero = field.zero
+    rvals = [zero if block is None
+             else _canonical(field, [sum(map(mul, row, v)) for row in block[0]], block[1])
+             for block in system.solve]
+    points = [tuple(v[q] if is_a else rvals[q] for is_a, q in pt)
+              for pt in system.layout]
     # pairwise ==, not a set: an int and the equal FieldElem hash differently
     if any(points[i] == points[j]
            for i in range(len(points)) for j in range(i + 1, len(points))):
         return Degenerate(tuple(points))
+    b = eprime_basis(s)
     projs = [b.apply(pt) for pt in points]
     if any(q != projs[0] for q in projs[1:]):
         raise ValueError("realized points do not project together")

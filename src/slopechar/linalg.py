@@ -244,6 +244,34 @@ def hnf(m: Matrix) -> Matrix:
     return Matrix(zip(*out)) if out else Matrix(tuple(() for _ in range(nr)))
 
 
+def rref_int(rows, ncols):
+    """Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 1968) of
+    integer rows, in place, over their first `ncols` columns; the columns
+    past them ride along.  Pivots are the first nonzero entries scanning top
+    to bottom, as in `rref`.  Returns (pivot columns, D): row i < rank has D
+    in column pivots[i] and 0 in every other pivot column, and the rows past
+    the rank are 0 in the first `ncols` columns.  Every entry stays a minor of
+    the input, so each division is exact."""
+    nr = len(rows)
+    pivots = []
+    prev = 1
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, nr) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        prow = rows[r]
+        a = prow[c]
+        for i in range(nr):
+            if i != r:
+                f = rows[i][c]
+                rows[i] = [(a * x - f * y) // prev for x, y in zip(rows[i], prow)]
+        prev = a
+        pivots.append(c)
+    return pivots, prev
+
+
 def kernel_int(m: Matrix):
     """Z-basis of {x in Z^ncols : M x = 0} for a rational matrix (saturated)."""
     from math import lcm

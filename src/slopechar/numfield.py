@@ -17,7 +17,8 @@ as Fractions, for output.
 Signs are decided exactly, by `NumberField.sign_of` on a vector of integer
 numerators; den > 0 leaves the sign alone.  A certified fixed-point filter
 comes first: each field keeps integer bounds
-L_i <= 2^FILTER_BITS * alpha^i <= U_i, and a vector whose enclosure
+L_i <= 2^FILTER_BITS * alpha^i <= U_i, found once by an integer bisection of
+the minimal polynomial at dyadic points, and a vector whose enclosure
 sum c_i [L_i, U_i] (`NumberField.enclosure`) excludes 0 gets the sign of that
 enclosure with integer arithmetic only.  Only when the enclosure contains 0
 does the exact path run: the zero test on the numerators, then bisection of
@@ -27,7 +28,9 @@ numerators' enclosure divided by den) are disjoint are ordered by their
 enclosures alone.  The atlas arrangement compares slab values that way, and
 lattice membership (`tiling.LatticeMembership`) compares the enclosure of a
 slab value, summed from the enclosures of the slab's integer columns, with
-the enclosures of the slab's bounds.
+the enclosures of the slab's bounds.  `FieldElem.floor` reads the floor off
+an enclosure that holds no integer, and refines the interval enclosure
+otherwise.
 """
 
 from __future__ import annotations
@@ -269,17 +272,15 @@ class NumberField:
 
     # -- root interval refinement --------------------------------------------
 
-    def _bisect(self, lo, hi) -> tuple[Fraction, Fraction]:
-        """The half of the isolating interval [lo, hi] that holds alpha."""
-        mid = (lo + hi) / 2
-        if (poly_eval(self.minpoly, mid) > 0) == (self._sign_at_lo > 0):
-            return mid, hi
-        return lo, mid
-
     def _refine(self) -> None:
-        """One bisection step on the cached isolating interval."""
+        """One bisection step on the cached isolating interval: keep the half
+        that holds alpha."""
         if self.degree > 1:
-            self._lo, self._hi = self._bisect(self._lo, self._hi)
+            mid = (self._lo + self._hi) / 2
+            if (poly_eval(self.minpoly, mid) > 0) == (self._sign_at_lo > 0):
+                self._lo = mid
+            else:
+                self._hi = mid
 
     def interval_of(self, coeffs) -> tuple[Fraction, Fraction]:
         """Interval enclosure of sum coeffs[i] * alpha^i at current precision."""
@@ -295,23 +296,59 @@ class NumberField:
     def _filter_bounds(self) -> tuple[tuple[int, int], ...]:
         """Integer bounds L_i <= 2^FILTER_BITS * alpha^i <= U_i, U_i - L_i <= 2.
 
-        Bisects a private copy of the isolating interval and leaves the
-        shared one, which `interval`, `approx` and `root_interval` read, as
-        it is."""
+        Bisects on dyadic points c / 2^m with integers only.  Inside the
+        isolating interval, which holds no other root, c / 2^m is below alpha
+        iff the minpoly has there the sign it has at the interval's lower
+        end; that sign is the sign of sum p_i c^i 2^(m (degree - i)) for the
+        minpoly's integer multiple p.  The shared isolating interval, which
+        `interval`, `approx` and `root_interval` read, stays as it is."""
         scale = 1 << FILTER_BITS
-        lo, hi = self._lo, self._hi
-        while True:
-            # alpha != 0 for degree >= 2, so the interval leaves 0 eventually
-            # and every power is monotone on it
-            if self.degree == 1 or lo > 0 or hi < 0:
-                bounds = [(scale, scale)]
-                for i in range(1, self.degree):
-                    a, b = sorted((lo ** i * scale, hi ** i * scale))
-                    bounds.append((math.floor(a), math.ceil(b)))
-                if all(u - l <= 2 for l, u in bounds):
-                    self._filter = tuple(bounds)
-                    return self._filter
-            lo, hi = self._bisect(lo, hi)
+        if self.degree == 1:
+            self._filter = ((scale, scale),)
+            return self._filter
+        # |alpha| < 2^bits, so on an interval of width 2^-m around alpha,
+        # 2^FILTER_BITS alpha^i moves by less than
+        # 2^(FILTER_BITS + bitlen(degree) + bits (degree - 1) - m) = 1/2, and
+        # its floor and ceiling are at most 2 apart
+        bits = (math.ceil(max(abs(self._lo), abs(self._hi))) + 1).bit_length()
+        m = FILTER_BITS + 1 + self.degree.bit_length() + bits * (self.degree - 1)
+        den = math.lcm(*(c.denominator for c in self.minpoly))
+        ints = [int(c * den) for c in reversed(self.minpoly)]
+        positive_below = self._sign_at_lo > 0
+        lo_n, lo_d = self._lo.numerator, self._lo.denominator
+        hi_n, hi_d = self._hi.numerator, self._hi.denominator
+
+        def below(c):
+            # alpha > c / 2^m: at or past an end of the isolating interval
+            # that end decides, and inside it the sign of the minpoly
+            if c * lo_d <= lo_n << m:
+                return True
+            if c * hi_d >= hi_n << m:
+                return False
+            acc, z = 0, 1
+            for p in ints:
+                acc = acc * c + p * z
+                z <<= m
+            return (acc > 0) == positive_below
+
+        # lo / 2^m <= _lo < alpha < _hi <= hi / 2^m; alpha is irrational, so
+        # it is no dyadic point
+        lo = (lo_n << m) // lo_d
+        hi = -((-hi_n << m) // hi_d)
+        while hi - lo > 1:
+            mid = (lo + hi) >> 1
+            if below(mid):
+                lo = mid
+            else:
+                hi = mid
+        # lo < 2^m alpha < lo + 1, and 0 is no interior point of [lo, lo + 1],
+        # so every power is monotone on it
+        bounds = [(scale, scale)]
+        for i in range(1, self.degree):
+            a, b = sorted((lo ** i << FILTER_BITS, (lo + 1) ** i << FILTER_BITS))
+            bounds.append((a >> (m * i), -(-b >> (m * i))))
+        self._filter = tuple(bounds)
+        return self._filter
 
     def enclosure(self, num) -> tuple[int, int]:
         """Integers (lo, hi) with lo <= 2^FILTER_BITS * x <= hi for
@@ -680,9 +717,14 @@ class FieldElem:
             f._refine()
 
     def floor(self) -> int:
-        """Exact integer floor under the real embedding."""
+        """Exact integer floor under the real embedding.  The fixed-point
+        enclosure decides unless an integer lies inside it; then the interval
+        enclosure is refined until it lies between two integers."""
         if self.is_rational():
             return self.num[0] // self.den
+        lo, hi = self.enclosure()
+        if lo >> FILTER_BITS == hi >> FILTER_BITS:
+            return lo >> FILTER_BITS
         # an element with an irrational coefficient vector is irrational, so
         # the enclosure eventually separates from every integer
         width = Fraction(1, 4)

@@ -34,6 +34,15 @@ class Poly:
         self.terms = {m: c for m, c in clean.items() if c}
 
     @classmethod
+    def from_terms(cls, nvars, terms):
+        """The Poly of `terms`, a dict of exponent tuples to nonzero
+        Fractions, taken as it is."""
+        p = cls.__new__(cls)
+        p.nvars = nvars
+        p.terms = terms
+        return p
+
+    @classmethod
     def zero(cls, nvars):
         return cls(nvars)
 

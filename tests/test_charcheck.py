@@ -320,6 +320,20 @@ def test_assemble_ideal_vanishes_at_slope(typical):
         assert p.evaluate(scaled).is_zero()
 
 
+def test_assembled_generators_are_content_normalized(typical, ab):
+    """assemble_ideal takes span_reduce's generators as they are: Fraction
+    coefficients, each generator its own content normalization, with
+    distinct leading monomials."""
+    for s in (typical, ab):
+        ideal, _ = assemble_ideal(s)
+        gens = ideal.generators
+        assert gens and all(type(c) is F for g in gens for c in g.terms.values())
+        for g in gens:
+            norm = g.content_normalized()
+            assert g.terms == norm.terms and list(g.terms) == list(norm.terms)
+        assert len({g.leading()[0] for g in gens}) == len(gens)
+
+
 def test_verdict_typical(typical):
     v = verdict(typical)
     assert v.status == "CharacterizedByCoincidences"

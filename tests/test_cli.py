@@ -151,6 +151,17 @@ def test_equations(tmp_path):
     assert doc["variables"] == ["G12", "G13", "G14", "G23", "G24", "G34"]
 
 
+@pytest.mark.parametrize("spec, digest", [
+    (TYPICAL, "3246b0a0d6880aa50f748ae346ce9b121553d26a1251bb2e0d63201c0c4fd6cc"),
+    (AB, "58d3aa2457d653a6a808ce0eefa0bc450bd764f6f5cb6ade13fddfce3f16408e"),
+], ids=["typical", "ammann_beenker"])
+def test_equations_golden(tmp_path, spec, digest):
+    # equations, their types and lattice vectors as a field elimination per
+    # vector left them; test_coincidences_golden pins the realizations
+    _, text = _run_json(["equations", spec], tmp_path, "equations")
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_verdict(tmp_path, capsys):
     doc, _ = _run_json(["verdict", TYPICAL], tmp_path, "verdict")
     assert doc["status"] == "CharacterizedByCoincidences"

@@ -17,6 +17,8 @@ from slopechar.linalg import (Matrix, det, kernel, kernel_int, rank,
 from slopechar.numfield import NumberField
 from slopechar.slope import Slope, grassmann
 
+import realize_oracle
+
 SEC6_TYPE = CoincidenceType(4, 2, [(4,), (3,), (2,)])
 SEC6_VECTOR = (3, -3, 3, 3, 3, 2, -5, -3, -3)
 
@@ -28,6 +30,22 @@ n = 5
 d = 3
 generators = [[["1", "0"], ["0", "0"], ["0", "0"], ["1", "1"], ["-1", "0"]], [["0", "0"], ["1", "0"], ["0", "0"], ["0", "1"], ["1", "0"]], [["0", "0"], ["0", "0"], ["1", "0"], ["0", "-1"], ["1", "1"]]]
 normalization = "G123"
+"""
+
+# a line of R^4 over Q(2^(1/4)), and a hyperplane of R^4 over Q(sqrt 2)
+SPEC_41 = """\
+minpoly = ["-2", "0", "0", "0", "1"]
+root_interval = ["1", "2"]
+n = 4
+d = 1
+generators = [[["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]]]
+"""
+SPEC_43 = """\
+minpoly = ["-2", "0", "1"]
+root_interval = ["1", "2"]
+n = 4
+d = 3
+generators = [[["1", "0"], ["0", "0"], ["0", "0"], ["0", "1"]], [["0", "0"], ["1", "0"], ["0", "0"], ["1", "1"]], [["0", "0"], ["0", "0"], ["1", "0"], ["-1", "0"]]]
 """
 
 
@@ -356,3 +374,75 @@ def test_all_equations_ab(ab):
     assert eqs
     for e in eqs:
         assert e.poly.evaluate(vals).is_zero()
+
+
+# -- the integer solver against the field elimination ---------------------------
+
+
+def _outcome(solve, s, t, v):
+    """What a realization gives, with the type of every point entry."""
+    try:
+        c = solve(s, t, v)
+    except InconsistentSystem:
+        return "inconsistent"
+    points = tuple(tuple((type(x), x) for x in pt) for pt in c.points)
+    if isinstance(c, Degenerate):
+        return "Degenerate", points
+    return "Coincidence", points, c.window_point, c.vector
+
+
+@pytest.mark.parametrize("name", ["typical", "ab", "slope53", "slope41", "slope43",
+                                  "penrose"])
+def test_realize_matches_field_elimination(name, typical, ab, penrose):
+    """Every type of 4->1, 4->2, 4->3 and 5->3 (a seeded sample of 5->2):
+    lattice vectors and random integer vectors off the lattice realize as
+    one field elimination per vector realizes them."""
+    s = {"typical": typical, "ab": ab, "penrose": penrose,
+         "slope53": specfile.to_slope(specfile.parse_spec(SPEC_53)),
+         "slope41": specfile.to_slope(specfile.parse_spec(SPEC_41)),
+         "slope43": specfile.to_slope(specfile.parse_spec(SPEC_43))}[name]
+    rng = random.Random(18)
+    types = enumerate_types(s.n, s.d)
+    if name == "penrose":
+        types = rng.sample(types, 12)
+    seen = {}
+    for t in types:
+        lattice = coincidence_lattice(s, t)
+        off = [tuple(rng.randint(-5, 5) for _ in range(t.num_a)) for _ in range(4)]
+        for v in lattice + off:
+            got = _outcome(realize, s, t, v)
+            assert got == _outcome(realize_oracle.realize, s, t, v), (t, v)
+            kind = got if isinstance(got, str) else got[0]
+            seen[kind, v in lattice] = seen.get((kind, v in lattice), 0) + 1
+    # the integer consistency rows reject vectors off the lattice
+    assert seen.get(("inconsistent", False))
+    assert seen.get(("Coincidence", True)) or seen.get(("Degenerate", True))
+
+
+def test_rank_deficient_type_over_a_quadratic_field():
+    """A rank-deficient type over Q(sqrt 2): the slope lies in x_3 = 0, and
+    every point of the type has an integer third entry, so the last real
+    entry (point 2, position 4) is a free block of the integer system and is
+    set to 0, the other two blocks are pivots, and a vector is consistent
+    iff the third entries agree (v_1 = v_4 = v_8)."""
+    f = NumberField([-2, 0, 1], (1, 2))
+    a = f.alpha
+    s = Slope(f, 4, 2, [[-2, 1, 0, a - 1], [2, -2 * a, 0, -2]])
+    t = CoincidenceType(4, 2, [(1,), (2,), (4,)])
+    assert integer_constraints(s, t) == Matrix([[F(0)] * t.num_a] * 2)
+    solve = coincidence._realizer(s, t).solve
+    assert solve[2] is None and solve[0] is not None and solve[1] is not None
+    rng = random.Random(7)
+    kinds = []
+    for _ in range(40):
+        v = [rng.randint(-4, 4) for _ in range(t.num_a)]
+        if rng.random() < 0.7:
+            v[4] = v[8] = v[1]
+        v = tuple(v)
+        got = _outcome(realize, s, t, v)
+        assert got == _outcome(realize_oracle.realize, s, t, v), v
+        assert (got == "inconsistent") == (v[1] != v[4] or v[1] != v[8])
+        kinds.append(got if isinstance(got, str) else got[0])
+        if got[0] == "Coincidence":
+            assert got[1][2][3] == (type(f.zero), f.zero)
+    assert {"inconsistent", "Coincidence"} <= set(kinds)

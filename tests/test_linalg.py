@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from slopechar.coincidence import coincidence_lattice, enumerate_types
 from slopechar.linalg import (Matrix, det, hnf, inverse, kernel, kernel_int, lll,
-                              rank, rref, solve_right)
+                              rank, rref, rref_int, solve_right)
 from slopechar.numfield import FieldElem, NumberField
 
 
@@ -125,6 +125,32 @@ def test_field_elimination_inverts_each_pivot_once(monkeypatch):
     for i, c in enumerate(pivots):
         assert [red[r, c] for r in range(3)] == [f.one if r == i else f.zero
                                                  for r in range(3)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 7), st.integers(1, 7), st.integers(0, 3), st.data())
+def test_rref_int_is_rref_over_one_pivot(nr, nc, extra, data):
+    """The fraction-free elimination has rref's pivots on its first nc
+    columns, rref's rows times one common pivot D, and zero rows past the
+    rank; the columns past nc follow the same row operations."""
+    entry = st.integers(-4, 4)
+    rows = data.draw(st.lists(st.lists(entry, min_size=nc + extra, max_size=nc + extra),
+                              min_size=nr, max_size=nr))
+    if nr > 2 and data.draw(st.booleans()):
+        rows[-1] = [x - 2 * y for x, y in zip(rows[0], rows[1])]  # rank-deficient
+    ref = [[F(x) for x in r] for r in rows]
+    work = [list(r) for r in rows]
+    pivots, d = rref_int(work, nc)
+    red, ref_pivots = rref(Matrix(ref))
+    assert pivots == [c for c in ref_pivots if c < nc]
+    assert all(type(x) is int for r in work for x in r)
+    for i, c in enumerate(pivots):
+        assert work[i][c] == d
+        assert [F(x, d) for x in work[i][:nc]] == list(red.rows[i][:nc])
+    assert not any(x for r in work[len(pivots):] for x in r[:nc])
+    # the ridden-along columns: every output row is a rational combination
+    # of the input rows, so the rank of [input; output] is the input's
+    assert rank(Matrix(ref + [[F(x) for x in r] for r in work])) == rank(Matrix(ref))
 
 
 def test_kernel_annihilates():

@@ -385,6 +385,69 @@ def test_float_of_small_values():
                 _assert_nearest_double(float(x), _mp_value("quadratic", x.coeffs))
 
 
+# -- the filter's integer set-up, and floors from the enclosure ----------------
+
+
+def neg_sqrt2():
+    """-sqrt(2): a negative root."""
+    return NumberField([-2, 0, 1], (F(-2), F(-1)))
+
+
+@pytest.mark.parametrize("make", [sqrt2, half, neg_sqrt2, cubic, half_cubic],
+                         ids=["sqrt2", "half", "neg_sqrt2", "cubic", "half_cubic"])
+def test_filter_bounds_enclose_the_scaled_powers(make):
+    """L_i <= 2^FILTER_BITS alpha^i <= U_i and U_i - L_i <= 2, against mpmath at
+    60 digits: from the given isolating interval, and from the interval
+    refined step by step to below the set-up's dyadic step, where the
+    interval's ends decide most bisection steps."""
+    f = make()
+    lo, hi = (mpmath.mpf(x.numerator) / x.denominator for x in f.root_interval)
+    with mpmath.workdps(MP_DIGITS):
+        roots = mpmath.polyroots([mpmath.mpf(c.numerator) / c.denominator
+                                  for c in reversed(f.minpoly)], extraprec=200)
+        alpha = next(x.real for x in roots
+                     if abs(x.imag) < mpmath.mpf(10) ** -MP_DIGITS and lo <= x.real <= hi)
+        scaled = [alpha ** i * 2 ** numfield.FILTER_BITS for i in range(f.degree)]
+        for _ in range(160):
+            bounds = f._filter_bounds()
+            assert len(bounds) == f.degree
+            for (low, up), x in zip(bounds, scaled):
+                assert type(low) is int and type(up) is int
+                assert low <= x <= up and up - low <= 2
+            f._refine()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_elements(), st.integers(-5, 5))
+def test_floor_matches_mpmath(elem, shift):
+    name, coeffs = elem
+    x = FIELDS[name]().elem(coeffs) + shift
+    with mpmath.workdps(APPROX_DPS):
+        assert x.floor() == int(mpmath.floor(_mp_value(name, x.coeffs)))
+
+
+def test_floor_near_an_integer_refines_the_interval(monkeypatch):
+    """Near an integer (here within 2^-FILTER_BITS of it) the enclosure holds
+    the integer, and the floor comes from interval refinement; farther away
+    the enclosure decides alone."""
+    f = sqrt2()
+    tiny = (f.alpha - 1) ** 80  # about 2.4e-31, below 2^-96
+    calls = []
+    interval = FieldElem.interval
+    monkeypatch.setattr(FieldElem, "interval",
+                        lambda self, width: calls.append(width) or interval(self, width))
+    for x, expected in ((3 + tiny, 3), (-(3 + tiny), -4), (3 - tiny, 2), (tiny - 3, -3)):
+        calls.clear()
+        assert x.floor() == expected
+        assert calls
+    with mpmath.workdps(APPROX_DPS):
+        for x in (f.alpha, -f.alpha, 3 + f.alpha / 7, f.alpha * 10 ** 6,
+                  f.alpha * 10 ** 20 - 10 ** 20):
+            calls.clear()
+            assert x.floor() == int(mpmath.floor(_mp_value("quadratic", x.coeffs)))
+            assert not calls
+
+
 # -- integer numerators over one denominator, against sympy ------------------
 
 X = sympy.Symbol("x")
