@@ -258,9 +258,15 @@ def build_parser():
     return ap
 
 
+_PARSER = None
+
+
 def main(argv=None):
+    global _PARSER
     try:
-        args = build_parser().parse_args(argv)
+        if _PARSER is None:
+            _PARSER = build_parser()
+        args = _PARSER.parse_args(argv)
         return args.fn(args)
     except (InputError, OSError) as exc:
         return _fail(EXIT_PARSE, f"error: {exc}")

@@ -24,10 +24,6 @@ class SingularPoint(Exception):
     """The query point is tight against some translated window boundary."""
 
 
-class NotFoldable(Exception):
-    """No reordering of the path's steps keeps every prefix in the window."""
-
-
 class LiftedPattern:
     """Finite connected set of unit edges of Z^n (plus isolated vertices)."""
 
@@ -115,60 +111,6 @@ def pattern_region(s: Slope, p: LiftedPattern) -> Region:
         for nu, hi in w.halfspaces():
             halfspaces.append((nu, hi - dot(nu, shift)))
     return Region(HPolytope(halfspaces, s.n - s.d), p, translations)
-
-
-# ---------------------------------------------------------------------------
-# path folding
-
-
-def fold_path(s: Slope, start, steps, offset=None):
-    """Permute `steps` so every intermediate vertex projects in the window.
-
-    `start` is a lattice point, `steps` a list of (direction, +-1); a lattice
-    point x is in-window when B x - offset lies in the (closed) window.
-    """
-    if offset is None:
-        offset = (s.field.zero,) * (s.n - s.d)
-    member = LatticeMembership(window(s), eprime_basis(s), offset)
-    steps = list(steps)
-    end = list(start)
-    for i, sg in steps:
-        end[i - 1] += sg
-    if member.status(tuple(start)) < 0 or member.status(tuple(end)) < 0:
-        raise NotFoldable("path endpoints must project inside the window")
-    budget = (len(steps) + 1) ** 2 * max(1, len(member.tests))
-    while budget > 0:
-        budget -= 1
-        x = list(start)
-        bad = None
-        for k, (i, sg) in enumerate(steps):
-            x[i - 1] += sg
-            if member.status(tuple(x)) < 0:
-                bad = k
-                break
-        if bad is None:
-            return steps
-        before = list(start)
-        for i, sg in steps[:bad]:
-            before[i - 1] += sg
-        # the slabs crossed by the offending edge
-        violated = member.violated(tuple(x))
-        swapped = False
-        for j in range(bad + 1, len(steps)):
-            i, sg = steps[j]
-            cand = list(before)
-            cand[i - 1] += sg
-            if member.status(tuple(cand)) < 0:
-                continue
-            # must come back across a violated slab, not sidestep it: the
-            # slab's functional must vary along e_i
-            if any(col[i - 1] for cols in violated for col in cols):
-                steps[bad], steps[j] = steps[j], steps[bad]
-                swapped = True
-                break
-        if not swapped:
-            raise NotFoldable("no returning edge found for a boundary crossing")
-    raise NotFoldable("folding did not terminate")
 
 
 # ---------------------------------------------------------------------------

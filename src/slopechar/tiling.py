@@ -2,7 +2,10 @@
 
 A face of Z^n is selected when all 2^d of its corners project inside the
 (translated) window; the patch is grown by BFS over the in-window vertices,
-which form a single connected component.
+which form a single connected component.  The walk runs on packed integer
+keys, one 64-bit field per coordinate, so a unit step is one addition; each
+point's slab enclosure sums are stepped from its parent's, and a face's
+corners are read off its anchor's key by adding fixed key offsets.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from operator import add, mul
+from operator import add, mul, sub
 
 from .errors import InputError, SingularOffset
 from .geometry import Window, complementary_zonotope, eprime_basis, window
@@ -76,7 +79,9 @@ class LatticeMembership:
     and compares it with the bounds' enclosures (the certified dynamic filter
     of Bronnimann, Burnikel and Pion, 2001, one enclosure per column).  Only
     where the enclosures overlap does the exact test run: the integer dot
-    products and two calls of the field's sign filter."""
+    products and two calls of the field's sign filter.  `decide` takes the
+    enclosure sums as given, so a walk can step them from a neighbour's;
+    `status` computes them from scratch and caches its answer."""
 
     def __init__(self, w: Window, b, offset):
         self.field = field = b[0, 0].field
@@ -101,39 +106,42 @@ class LatticeMembership:
                                2 * lo_l, 2 * lo_u, 2 * hi_l, 2 * hi_u))
         self.cache = {}
 
-    def _side(self, x, slab) -> int:
-        """1 if B x - offset lies strictly inside the slab, 0 on one of its
-        bounds, -1 outside it."""
-        cols, lo, hi, mid, rad, lo_l, lo_u, hi_l, hi_u = slab
-        m = sum(map(mul, x, mid))
-        r = sum(map(mul, map(abs, x), rad))
-        if lo_u < m - r and m + r < hi_l:
-            return 1
-        if m + r < lo_l or hi_u < m - r:
-            return -1
-        sign_of = self.field.sign_of
-        acc = [sum(map(mul, x, col)) for col in cols]
-        return min(sign_of([a - c for a, c in zip(acc, lo)]),
-                   sign_of([c - a for a, c in zip(acc, hi)]))
+    def sums(self, x):
+        """The enclosure sums of x, slab by slab and lazily: m = sum x_j mid_j
+        and r = sum |x_j| rad_j (see `__init__`)."""
+        ax = tuple(map(abs, x))
+        return ((sum(map(mul, x, slab[3])) for slab in self.tests),
+                (sum(map(mul, ax, slab[4])) for slab in self.tests))
+
+    def decide(self, x, m, r) -> int:
+        """1 if B x - offset lies strictly inside every slab, 0 if on a bound
+        of some slab and outside none, -1 outside one; m and r are the slabs'
+        enclosure sums of x, taken lazily.  Each slab is decided by the
+        enclosure filter, or where the enclosures overlap by the exact test:
+        the integer dot products and the field's sign filter."""
+        result = 1
+        for slab, mt, rt in zip(self.tests, m, r):
+            cols, lo, hi, _, _, lo_l, lo_u, hi_l, hi_u = slab
+            if lo_u < mt - rt and mt + rt < hi_l:
+                continue
+            if mt + rt < lo_l or hi_u < mt - rt:
+                return -1
+            sign_of = self.field.sign_of
+            acc = [sum(map(mul, x, col)) for col in cols]
+            side = min(sign_of([a - c for a, c in zip(acc, lo)]),
+                       sign_of([c - a for a, c in zip(acc, hi)]))
+            if side < 0:
+                return -1
+            result = min(result, side)
+        return result
 
     def status(self, x) -> int:
         """1 inside, 0 boundary, -1 outside."""
         got = self.cache.get(x)
         if got is not None:
             return got
-        result = 1
-        for slab in self.tests:
-            side = self._side(x, slab)
-            if side < result:
-                result = side
-                if side < 0:
-                    break
-        self.cache[x] = result
+        result = self.cache[x] = self.decide(x, *self.sums(x))
         return result
-
-    def violated(self, x):
-        """Columns `cols` of each slab that B x - offset lies outside of."""
-        return [slab[0] for slab in self.tests if self._side(x, slab) < 0]
 
 
 class Patch:
@@ -235,6 +243,21 @@ def digitize(s: Slope, offset=None, radius=Fraction(10), seed=0) -> Patch:
     raise last
 
 
+# A lattice point x is walked as the key sum (x_j - o_j + 2^63) << 64 j, o the
+# walk's start: a unit step adds or subtracts 1 << 64 j, and no walk takes the
+# 2^63 steps that would carry a field into the next.
+_KEY_BITS = 64
+_KEY_BIAS = 1 << 63
+
+
+def _step_sums(m, r, mid, rad, xj, sgn):
+    """The enclosure sums (m, r) of x + sgn e_j from those of x, where mid and
+    rad are column j of every slab's mid and rad: m moves by sgn mid, and r by
+    rad as |x_j| grows or shrinks."""
+    return (list(map(add if sgn > 0 else sub, m, mid)),
+            list(map(add if xj * sgn >= 0 else sub, r, rad)))
+
+
 def _digitize_at(s: Slope, offset, radius) -> Patch:
     n, d = s.n, s.d
     b = eprime_basis(s)
@@ -245,14 +268,16 @@ def _digitize_at(s: Slope, offset, radius) -> Patch:
                for i in range(n)]
     step = max(math.sqrt(sum(c * c for c in u)) for u in unit_pi)
     reach = float(radius) + d * step + 2 * step
+    r = float(radius)
+    reach2, r2 = reach * reach, r * r
 
-    def inball(x, r):
+    def norm2(x):
         p = [0.0] * d
         for j, xj in enumerate(x):
             if xj:
                 for t in range(d):
                     p[t] += unit_pi[j][t] * xj
-        return sum(a * a for a in p) <= r * r
+        return sum(a * a for a in p)
 
     origin = (0,) * n
     st = member.status(origin)
@@ -260,41 +285,63 @@ def _digitize_at(s: Slope, offset, radius) -> Patch:
         raise SingularOffset("seed vertex on window boundary; perturb the offset")
     if st < 0:
         origin = _find_seed(member, b, [o + c for o, c in zip(offset, w.center)])
-    frontier = deque([origin])
-    inside = {origin}
+    # the walk: in-window points within reach of the origin, by key, each with
+    # its point, its enclosure sums and whether it lies in the radius ball;
+    # `known` holds the status of every point tested
+    unit = [1 << _KEY_BITS * j for j in range(n)]
+    mids = [tuple(slab[3][j] for slab in member.tests) for j in range(n)]
+    rads = [tuple(slab[4][j] for slab in member.tests) for j in range(n)]
+    key = _KEY_BIAS * sum(unit)
+    ms, rs = map(list, member.sums(origin))
+    inside = {key: (origin, ms, rs, norm2(origin) <= r2)}
+    known = {key: 1}
+    frontier = deque([key])
     while frontier:
-        v = frontier.popleft()
+        key = frontier.popleft()
+        v, ms, rs, _ = inside[key]
         for j in range(n):
-            for sgn in (1, -1):
-                nb = v[:j] + (v[j] + sgn,) + v[j + 1:]
-                if nb in inside:
+            vj, u, mid, rad = v[j], unit[j], mids[j], rads[j]
+            for sgn, nk in ((1, key + u), (-1, key - u)):
+                if nk in known:
                     continue
-                st = member.status(nb)
-                if st == 0:
+                nb = v[:j] + (vj + sgn,) + v[j + 1:]
+                sums = _step_sums(ms, rs, mid, rad, vj, sgn)
+                st = known[nk] = member.cache[nb] = member.decide(nb, *sums)
+                if st > 0:
+                    q = norm2(nb)
+                    if q <= reach2:
+                        inside[nk] = (nb, *sums, q <= r2)
+                        frontier.append(nk)
+                elif st == 0:
                     raise SingularOffset(
                         f"lattice point {nb} projects onto the window boundary; "
                         "perturb the offset slightly")
-                if st > 0 and inball(nb, reach):
-                    inside.add(nb)
-                    frontier.append(nb)
     # the corners of Face(v, dirs) other than v are v + step, in the order
-    # of Face.corners
-    steps = [(dirs, Face((0,) * n, dirs).corners()[1:])
-             for dirs in combinations(range(1, n + 1), d)]
-    r = float(radius)
+    # of Face.corners, at key offsets sum step_j << 64 j
+    faces_of = []
+    for dirs in combinations(range(1, n + 1), d):
+        steps = Face((0,) * n, dirs).corners()[1:]
+        faces_of.append((dirs, [(sum(map(mul, step, unit)), step) for step in steps]))
     faces = []
-    for v in inside:
-        for dirs, corner_steps in steps:
-            corners = [tuple(map(add, v, step)) for step in corner_steps]
-            for c in corners:
-                if c not in inside:
-                    st = member.status(c)
-                    if st <= 0:
-                        if st == 0:
-                            raise SingularOffset("face corner on window boundary")
-                        break
+    for key, (v, _, _, near) in inside.items():
+        for dirs, corners in faces_of:
+            hit, far = near, []
+            for off, step in corners:
+                ck = key + off
+                got = inside.get(ck)
+                if got is not None:
+                    hit = hit or got[3]
+                    continue
+                st = known.get(ck)
+                if st is None:
+                    st = known[ck] = member.status(tuple(map(add, v, step)))
+                if st <= 0:
+                    if st == 0:
+                        raise SingularOffset("face corner on window boundary")
+                    break
+                far.append(tuple(map(add, v, step)))
             else:
-                if inball(v, r) or any(inball(c, r) for c in corners):
+                if hit or any(norm2(c) <= r2 for c in far):
                     faces.append(Face(v, dirs))
     return Patch(s, offset, faces, radius, member)
 

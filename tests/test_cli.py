@@ -206,6 +206,22 @@ def test_exit_code_parse_error(tmp_path, capsys):
     assert cli.main(["info", str(tmp_path / "missing.slope")]) == cli.EXIT_PARSE
 
 
+def test_parser_is_built_once(monkeypatch, capsys):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    assert cli.main(["info", TYPICAL]) == 0
+    assert cli.main(["info", TYPICAL]) == 0
+    assert built == [1]
+    capsys.readouterr()
+    # a usage error after a successful call is still bad input, on one line
+    assert cli.main(["info", TYPICAL, "--no-such-option"]) == cli.EXIT_PARSE
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "--no-such-option" in err
+    assert built == [1]
+
+
 def test_exit_code_singular_offset(tmp_path, capsys, typical_spec):
     # an all-zero offset puts lattice points on the window boundary
     k = len(typical_spec.minpoly) - 1

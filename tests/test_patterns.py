@@ -1,4 +1,3 @@
-import hashlib
 import json
 import random
 from fractions import Fraction as F
@@ -9,15 +8,15 @@ from slopechar import patterns
 from slopechar.geometry import (BOUNDARY, INSIDE, OUTSIDE, _sgn, eprime_basis,
                                 window)
 from slopechar.linalg import Matrix, dot, rank
-from slopechar.patterns import (LiftedPattern, NotFoldable, SingularPoint,
+from slopechar.patterns import (LiftedPattern, SingularPoint,
                                 cyclic_rotation_group, edge_between,
-                                enumerate_r_patterns, fold_path,
-                                patch_vertex_stars, pattern_json,
+                                enumerate_r_patterns, patch_vertex_stars,
+                                pattern_json,
                                 pattern_region, r_pattern_at, region_json,
                                 rotation_classes, transform_pattern,
                                 vertex_star)
 from slopechar.numfield import NumberField
-from slopechar.tiling import LatticeMembership, digitize, draw_offset
+from slopechar.tiling import LatticeMembership, digitize
 
 
 def test_edge_between():
@@ -91,51 +90,6 @@ def test_bigger_pattern_smaller_region(ab):
     # every halfspace of the small region also bounds the big one
     for nu, c in r0.polytope.halfspaces:
         assert (nu, c) in set(r1.polytope.halfspaces)
-
-
-def test_fold_path_valid_path_unchanged(ab):
-    off = draw_offset(ab, 1)
-    # staying at an in-window vertex: empty path
-    assert fold_path(ab, (0, 0, 0, 0), [], offset=off) == []
-
-
-def test_fold_path_keeps_intermediates_inside(ab):
-    off = draw_offset(ab, 1)
-    member = LatticeMembership(window(ab), eprime_basis(ab), off)
-    rng = random.Random(0)
-    folded_some = swapped_some = 0
-    folds = []
-    patch = digitize(ab, radius=F(8), seed=1)
-    verts = sorted(patch.vertex_set())
-    for _ in range(200):
-        start = rng.choice(verts)
-        end = rng.choice(verts)
-        steps = []
-        for i in range(4):
-            delta = end[i] - start[i]
-            steps += [(i + 1, 1 if delta > 0 else -1)] * abs(delta)
-        rng.shuffle(steps)
-        if len(steps) > 6:
-            continue
-        try:
-            folded = fold_path(ab, start, steps, offset=off)
-        except NotFoldable:
-            folds.append(None)
-            continue
-        folds.append(folded)
-        assert sorted(folded) == sorted(steps)
-        x = list(start)
-        for i, sg in folded:
-            x[i - 1] += sg
-            assert member.status(tuple(x)) >= 0
-        folded_some += 1
-        if folded != steps:
-            swapped_some += 1
-    assert folded_some > 20
-    assert swapped_some > 0
-    # the folded step lists as the FieldElem slab test gave them
-    assert hashlib.sha256(json.dumps(folds).encode()).hexdigest() == \
-        "d0aa9168d453f1a80af0a0bb1063a125f3936e36bd6fa2237f3c0687dc355b41"
 
 
 def test_atlas_exact_and_partition(ab):

@@ -6,8 +6,11 @@ from collections import deque
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from slopechar import tiling
+import digitize_oracle
+from slopechar import specfile, tiling
 from slopechar.errors import InputError
 from slopechar.geometry import (BOUNDARY, INSIDE, complementary_zonotope,
                                 eprime_basis, window)
@@ -19,6 +22,7 @@ from slopechar.tiling import (Face, LatticeMembership, SingularOffset,
                               digitize, draw_offset, face_selected_by_anchor,
                               integral_sum_offset, patch_json, render_svg,
                               slope_hash, tile_frequencies)
+from test_coincidence import SPEC_41, SPEC_43, SPEC_53
 
 
 def test_face_corners():
@@ -356,3 +360,106 @@ def test_far_offset_finds_its_seed_next_to_the_window(ab):
     offset = (ab.field.from_rational(50), ab.field.from_rational(50))
     patch = digitize(ab, offset=offset, radius=F(3))
     assert len(patch) == 90 and len(patch.member.cache) < 2000
+
+
+# -- the packed-key walk against the walk on point tuples ----------------------
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except SingularOffset as exc:
+        return ("singular", str(exc))
+
+
+def _walk_and_oracle(s, offset, radius):
+    """The outcomes of `tiling._digitize_at` and of the oracle walk: the
+    sorted faces, or the SingularOffset message."""
+    return (_outcome(lambda: tiling._digitize_at(s, offset, radius).faces),
+            _outcome(lambda: digitize_oracle.digitize_faces(s, offset, radius)))
+
+
+# the radii per slope, smaller where d = 3 makes a patch large
+ORACLE_RADII = {"typical": (0, 3, 7), "ab": (1, 4, 8), "penrose": (2, 6),
+                "quad42": (2, 5), "half42": (2, 5), "slope53": (1, 2),
+                "slope43": (1, 3), "slope41": (3, 12)}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_RADII))
+def test_packed_walk_matches_the_tuple_walk(name, request):
+    if name.startswith("slope"):
+        spec = {"slope53": SPEC_53, "slope43": SPEC_43, "slope41": SPEC_41}[name]
+        s = specfile.to_slope(specfile.parse_spec(spec))
+    else:
+        s = request.getfixturevalue(name)
+    field, m = s.field, s.n - s.d
+    w = window(s)
+    offsets = [draw_offset(s, f"{seed}:0") for seed in (0, 1, 7)]
+    offsets.append((field.zero,) * m)  # lattice points on the boundary
+    # offsets a little off the origin, which the seed search starts from
+    for shift in [(F(3, 2), 0), (F(-3, 2), F(1, 3)), (1, -1)]:
+        shift = (shift * m)[:m]
+        offsets.append(tuple(field.from_rational(x) - c for c, x in zip(w.center, shift)))
+    offsets.append((field.from_rational(50),) * m)
+    if name == "penrose":
+        offsets.append(integral_sum_offset(s))
+    singular = 0
+    for offset in offsets:
+        for radius in ORACLE_RADII[name]:
+            got, want = _walk_and_oracle(s, offset, F(radius))
+            assert got == want, (offset, radius)
+            singular += isinstance(got, tuple)
+    assert singular < len(offsets) * len(ORACLE_RADII[name])
+    if s.d == 2:
+        assert singular  # the zero offset
+
+
+def test_walk_falls_back_to_the_exact_test_next_to_a_bound(ab, monkeypatch):
+    # x lies (sqrt 2 - 1)^80 nu.nu inside, then outside, the first slab's
+    # upper bound: closer than the enclosures resolve, so the walk decides x
+    # from its stepped sums only through the exact test
+    eps = (ab.field.alpha - 1) ** 80
+    x = (1, -2, 0, 3)
+    interval_of, decide = NumberField.interval_of, LatticeMembership.decide
+    calls, at_x = [], []
+
+    def spy_decide(member, y, m, r):
+        before = len(calls)
+        got = decide(member, y, m, r)
+        if y == x:
+            at_x.append((got, len(calls) - before))
+        return got
+
+    for sign, want in ((-1, 1), (1, -1)):
+        offset = _offset_near_a_bound(ab, x, sign * eps)
+        calls.clear()
+        at_x.clear()
+        monkeypatch.setattr(NumberField, "interval_of",
+                            lambda f, num: calls.append(num) or interval_of(f, num))
+        monkeypatch.setattr(LatticeMembership, "decide", spy_decide)
+        patch = digitize(ab, offset=offset, radius=F(4))
+        monkeypatch.undo()
+        assert len(at_x) == 1 and at_x[0][0] == want and at_x[0][1] > 0
+        assert (x in patch.vertex_set()) == (want > 0)
+        assert patch.faces == digitize_oracle.digitize_faces(ab, offset, F(4))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(which=st.booleans(), seed=st.integers(0, 50),
+       start=st.lists(st.integers(-3, 3), min_size=5, max_size=5),
+       moves=st.lists(st.tuples(st.integers(0, 4), st.sampled_from((1, -1))),
+                      max_size=40))
+def test_stepped_sums_equal_sums_from_scratch(ab, penrose, which, seed, start, moves):
+    # random walks from points near the origin: steps toward and across
+    # x_j = 0, where the change of |x_j| turns sign
+    s = penrose if which else ab
+    member = LatticeMembership(window(s), eprime_basis(s), draw_offset(s, seed))
+    mids = [tuple(slab[3][j] for slab in member.tests) for j in range(s.n)]
+    rads = [tuple(slab[4][j] for slab in member.tests) for j in range(s.n)]
+    x = list(start[:s.n])
+    m, r = map(list, member.sums(x))
+    for j, sgn in moves:
+        j %= s.n
+        m, r = tiling._step_sums(m, r, mids[j], rads[j], x[j], sgn)
+        x[j] += sgn
+        assert [m, r] == list(map(list, member.sums(x)))
