@@ -25,11 +25,13 @@ does the exact path run: the zero test on the numerators, then bisection of
 alpha's isolating interval until the interval enclosure of the element
 excludes 0.  Two values whose enclosures (`FieldElem.enclosure`, the
 numerators' enclosure divided by den) are disjoint are ordered by their
-enclosures alone.  The atlas arrangement compares slab values that way, and
-lattice membership (`tiling.LatticeMembership`) compares the enclosure of a
-slab value, summed from the enclosures of the slab's integer columns, with
-the enclosures of the slab's bounds.  `FieldElem.floor` reads the floor off
-an enclosure that holds no integer, and refines the interval enclosure
+enclosures alone.  The atlas arrangement compares the enclosures of its
+integer slab values that way, and lattice membership
+(`tiling.LatticeMembership`) compares the enclosure of a slab value, summed
+from the enclosures of the slab's integer columns, with the enclosures of
+the slab's bounds.  `FieldElem.floor` reads the floor off an enclosure that
+holds no integer, and `FieldElem.approx` its decimal rounding off an
+enclosure whose two ends round alike; each refines the interval enclosure
 otherwise.
 """
 
@@ -368,6 +370,22 @@ class NumberField:
                 hi += c * l
         return lo, hi
 
+    def from_product(self, prod, den) -> "FieldElem":
+        """The element sum prod[i] alpha^i / den, for an integer polynomial
+        prod of degree at most 2 degree - 2 (a product of two residues, or a
+        sum of such products) and an integer den > 0: one reduction with the
+        integer table, then one gcd."""
+        k = self.degree
+        # alpha^i for i >= degree is rows[i - degree] / scale
+        scale, rows = self._reduction
+        num = prod[:k]
+        if scale != 1:
+            num = [scale * c for c in num]
+        for c, row in zip(prod[k:], rows):
+            if c:
+                num = [u + c * r for u, r in zip(num, row)]
+        return _canonical(self, num, den * scale)
+
     def sign_of(self, num) -> int:
         """Sign of sum num[i] * alpha^i under the real embedding.
 
@@ -473,6 +491,21 @@ def _round_half_up(v: Fraction) -> int:
     return q + (2 * r >= v.denominator)
 
 
+def _rounded(lo: Fraction, hi: Fraction, digits: int):
+    """(q, decimals) with q the value rounded half up at `digits` significant
+    digits times 10^decimals, the same for every value in [lo, hi] with
+    0 < lo <= hi; None when the ends have different decimal exponents or
+    round differently."""
+    expo = _decimal_exponent(lo)
+    if _decimal_exponent(hi) != expo:
+        return None
+    decimals = digits - 1 - expo
+    q = _round_half_up(lo * Fraction(10) ** decimals)
+    if q != _round_half_up(hi * Fraction(10) ** decimals):
+        return None
+    return q, decimals
+
+
 class FieldElem:
     """An element of Q(alpha): its canonical residue mod minpoly, stored as
     integer numerators `num` (one per power of alpha) over one denominator
@@ -541,21 +574,12 @@ class FieldElem:
         if o is None:
             return NotImplemented
         a, b = self.num, o.num
-        k = len(a)
-        prod = [0] * (2 * k - 1)
+        prod = [0] * (2 * len(a) - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b, i):
                     prod[j] += x * y
-        # alpha^i for i >= degree is rows[i - degree] / scale
-        scale, rows = self.field._reduction
-        num = prod[:k]
-        if scale != 1:
-            num = [scale * c for c in num]
-        for c, row in zip(prod[k:], rows):
-            if c:
-                num = [u + c * r for u, r in zip(num, row)]
-        return _canonical(self.field, num, self.den * o.den * scale)
+        return self.field.from_product(prod, self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -663,38 +687,50 @@ class FieldElem:
     # -- approximation ---------------------------------------------------------
 
     def interval(self, width: Fraction) -> tuple[Fraction, Fraction]:
-        """Enclosure of this element with width at most `width`."""
+        """Enclosure of this element with width at most `width`.  The
+        enclosure's width shrinks about as alpha's interval does, so an
+        enclosure 2^k times too wide is re-evaluated after k bisections."""
         f = self.field
         while True:
             lo, hi = f.interval_of(self.num)
             lo, hi = lo / self.den, hi / self.den
             if hi - lo <= width:
                 return lo, hi
-            f._refine()
+            ratio = (hi - lo) / width
+            for _ in range(ratio.numerator.bit_length() - ratio.denominator.bit_length() + 1):
+                f._refine()
 
     def approx(self, digits: int) -> str:
         """Decimal string of the value rounded half up at `digits`
-        significant digits.  The interval enclosure is refined until it
-        fixes the decimal exponent and then the rounding; an irrational value
-        is neither a power of 10 nor a rounding tie, and a rational one has a
-        point enclosure, so refinement ends."""
+        significant digits.  Rounding is monotone, so an enclosure whose two
+        ends have the same decimal exponent and the same rounding fixes
+        both for the value.  The fixed-point enclosure decides unless its
+        ends round differently; then the interval enclosure is refined until
+        they agree.  An irrational value is neither a power of 10 nor a
+        rounding tie, and a rational one has a point interval enclosure, so
+        refinement ends."""
         if digits < 1:
             raise ValueError("digits must be >= 1")
         if self.is_zero():
             return "0." + "0" * (digits - 1) if digits > 1 else "0"
-        neg = self.sign() < 0
-        f = self.field
-        while True:
-            lo, hi = f.interval_of(self.num)
-            lo, hi = (-hi / self.den, -lo / self.den) if neg else (lo / self.den, hi / self.den)
-            if lo > 0:
-                expo = _decimal_exponent(lo)
-                if _decimal_exponent(hi) == expo:
-                    decimals = digits - 1 - expo
-                    q = _round_half_up(lo * Fraction(10) ** decimals)
-                    if q == _round_half_up(hi * Fraction(10) ** decimals):
-                        break
-            f._refine()
+        lo, hi = self.enclosure()
+        neg = hi < 0
+        got = None
+        if lo > 0 or neg:
+            lo, hi = (-hi, -lo) if neg else (lo, hi)
+            got = _rounded(Fraction(lo, 1 << FILTER_BITS), Fraction(hi, 1 << FILTER_BITS),
+                           digits)
+        if got is None:
+            neg = self.sign() < 0
+            f = self.field
+            while True:
+                lo, hi = f.interval_of(self.num)
+                lo, hi = (-hi / self.den, -lo / self.den) if neg else (lo / self.den, hi / self.den)
+                got = _rounded(lo, hi, digits) if lo > 0 else None
+                if got is not None:
+                    break
+                f._refine()
+        q, decimals = got
         if decimals > 0:
             text = str(q).rjust(decimals + 1, "0")
             out = text[:-decimals] + "." + text[-decimals:]

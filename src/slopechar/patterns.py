@@ -9,15 +9,19 @@ window point is built from in-window walks of length r + 1.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
+from itertools import combinations
+from operator import mul, sub
 
 from .errors import InputError
 from .geometry import HPolytope, Window, _sgn, eprime_basis, window
 from .linalg import _is_zero, dot
+from .numfield import _canonical
 from .slope import Slope
-from .tiling import LatticeMembership
+from .tiling import LatticeMembership, _cleared, _slab_rows
 
 
 class SingularPoint(Exception):
@@ -161,66 +165,175 @@ def _walk(n: int, r: int, status) -> LiftedPattern:
 # window partition by r-patterns
 
 
-def _enclosed(x):
-    """A slab value with its fixed-point enclosure: (x, lo, hi), where
-    lo <= 2^FILTER_BITS * x <= hi (`FieldElem.enclosure`)."""
-    return (x, *x.enclosure())
+class _Lines:
+    """Integer coordinates of the lines and points of a 2-D window's
+    arrangement.
+
+    Every line of the arrangement is nu_k . y = c for a slab k, with
+    c = sum_i m_i g_ki, g_ki = nu_k . B e_i and m in Z^n: a cut at offset x
+    has m = ind - x, and a window edge has m in {0, 1}^n.  So c = C / den_k
+    for the integer vector C = cols_k m, with the columns and the one
+    denominator of `tiling._slab_rows`, and a line is kept as (k, value, C).
+
+    The point where the lines (k, c_k) and (j, c_j) meet is c_k u + c_j v,
+    (u, v) the dual basis of (nu_k, nu_j).  Its coordinates are integer
+    vectors P over one denominator `den` for the whole arrangement: P is
+    U_kj C_k + V_kj C_j, with the integer matrices of the products by u and
+    v.  Its slab values are integer vectors over one denominator per slab,
+    V_l = N_l P with the matrix of the product by nu_l, and the value of a
+    line is C scaled to that denominator.  A value is kept as (V, lo, hi)
+    with its `NumberField.enclosure`; two values of one slab share their
+    denominator, so they are compared by their enclosures and, where those
+    overlap, by `sign_of` of the integer difference (`_cmp`).
+
+    The set-up takes one field inverse per pair of slabs and a few products
+    per pair and per slab; no later step divides."""
+
+    def __init__(self, w: Window, b):
+        self.field = field = b[0, 0].field
+        self.sign_of = field.sign_of
+        self.enclosure = field.enclosure
+        deg = field.degree
+        alpha = field.alpha
+
+        def columns(e):
+            # e alpha^i for i < degree: the columns of the product by e
+            out = [e]
+            for _ in range(deg - 1):
+                out.append(out[-1] * alpha)
+            return out
+
+        # the window's bounds are sums of the slab's column values, so den
+        # is a multiple of their denominators
+        normals, dens, self.cols, self.lo, self.hi = [], [], [], [], []
+        for nu, den, cols, lo, hi in _slab_rows(w, b):
+            normals.append(nu)
+            dens.append(den)
+            self.cols.append(cols)
+            self.lo.append(_cleared(lo, den))
+            self.hi.append(_cleared(hi, den))
+        self.nk = nk = len(normals)
+        # y = c_k u + c_j v solves nu_k . y = c_k and nu_j . y = c_j
+        duals = {}
+        for k, j in combinations(range(nk), 2):
+            a, c = normals[k], normals[j]
+            inv = (a[0] * c[1] - a[1] * c[0]).inverse()
+            duals[k, j] = ([columns(c[1] * inv), columns(-(c[0] * inv))],
+                           [columns(-(a[1] * inv)), columns(a[0] * inv)])
+        self.den = den = math.lcm(*(
+            dens[kj[side]] * e.den for kj, uv in duals.items()
+            for side in (0, 1) for coord in uv[side] for e in coord))
+
+        def product_rows(coords, scale):
+            # row (t, r): coefficient r of coordinate t of the product by the
+            # columns' element, from numerators over den / scale to numerators
+            # over den
+            return tuple(tuple(den * e.num[r] // (scale * e.den) for e in coord)
+                         for coord in coords for r in range(deg))
+
+        self.meets = [[None] * nk for _ in range(nk)]
+        for (k, j), (u, v) in duals.items():
+            rows_u, rows_v = product_rows(u, dens[k]), product_rows(v, dens[j])
+            self.meets[k][j] = (rows_u, rows_v)
+            self.meets[j][k] = (rows_v, rows_u)
+        self.values, self.scales = [], []
+        for nu, d in zip(normals, dens):
+            coords = [columns(e) for e in nu]
+            common = math.lcm(d, *(den * e.den for coord in coords for e in coord))
+            self.values.append(tuple(
+                tuple(common * e.num[r] // (den * e.den) for coord in coords for e in coord)
+                for r in range(deg)))
+            self.scales.append(common // d)
+
+    def line(self, k, c):
+        """The line nu_k . y = C / den_k, for the integer vector C = c."""
+        v = tuple(x * self.scales[k] for x in c)
+        return k, (v, *self.enclosure(v)), c
+
+    def _value(self, l, p):
+        v = tuple(sum(map(mul, row, p)) for row in self.values[l])
+        return v, *self.enclosure(v)
+
+    def vertex(self, p):
+        """A vertex with coordinates p over `den`: (p, its slab values)."""
+        return p, tuple(self._value(l, p) for l in range(self.nk))
+
+    def meet(self, one, two):
+        """The vertex where two lines of different slabs meet; the lines'
+        own slabs take the lines' values."""
+        k, ck, c1 = one
+        j, cj, c2 = two
+        rows1, rows2 = self.meets[k][j]
+        p = tuple(sum(map(mul, r1, c1)) + sum(map(mul, r2, c2))
+                  for r1, r2 in zip(rows1, rows2))
+        return p, tuple(ck if l == k else cj if l == j else self._value(l, p)
+                        for l in range(self.nk))
+
+    def point(self, p):
+        """The point with coordinates p over `den`, as field elements."""
+        deg = self.field.degree
+        return tuple(_canonical(self.field, p[t:t + deg], self.den)
+                     for t in range(0, len(p), deg))
 
 
-def _cmp(a, b):
-    """Sign of a - b for two enclosed slab values: 0 for the same value
-    object, the order of the enclosures when they are disjoint, and
-    otherwise the exact sign of the difference."""
+def _cmp(a, b, sign_of):
+    """Sign of a - b for two values (V, lo, hi) of one slab: 0 for the same
+    value object, the order of the enclosures when they are disjoint, and
+    otherwise `sign_of` of the integer difference."""
     if a is b:
         return 0
     if a[2] < b[1]:
         return -1
     if a[1] > b[2]:
         return 1
-    return _sgn(a[0] - b[0])
+    return sign_of(list(map(sub, a[0], b[0])))
 
 
-def _split(cell, k, c):
-    """The two halves of a convex cell cut by the line nu_k . y = c: the part
-    with nu_k . y <= c, then the part with nu_k . y >= c.
+def _split(lines, verts, edges, cut):
+    """The two halves of a convex cell cut by the line `cut` of slab k: the
+    part with nu_k . y <= c, then the part with nu_k . y >= c, each as
+    (vertices, edge lines).
 
-    A cell is an ordered list of (point, values) vertices, `values` holding
-    nu_j . point, enclosed, for every slab normal nu_j of the window.  A
-    crossing point gets its values by interpolation along its edge, and
-    exactly c on the cut's own slab, so no dot product is formed.  The
-    halves hold distinct vertices of the cell and crossing points strictly
-    inside distinct edges, and the cut meets the cell's interior, so each
-    half has at least 3 distinct vertices."""
-    m = len(cell)
-    sides = [_cmp(v[k], c) for _, v in cell]
-    lo_part, hi_part = [], []
+    A cell is an ordered list of vertices (p, values), `values` holding the
+    slab value nu_j . p of every slab j, and the line of the edge from each
+    vertex to the next.  A crossing point is the meet of the cut and the
+    edge's line.  An edge of a half lies on the line of the cell's edge it
+    is part of, or on the cut: the edge leaving a vertex on the cut, or
+    leaving a crossing point, toward the other side.  The halves hold
+    distinct vertices of the cell and crossing points strictly inside
+    distinct edges, and the cut meets the cell's interior, so each half has
+    at least 3 distinct vertices."""
+    k, c, _ = cut
+    sign_of = lines.sign_of
+    sides = [_cmp(v[k], c, sign_of) for _, v in verts]
+    m = len(verts)
+    lo_verts, lo_edges, hi_verts, hi_edges = [], [], [], []
     for i in range(m):
-        a, va = cell[i]
-        sa, sb = sides[i], sides[(i + 1) % m]
+        edge = edges[i]
+        sa, sb = sides[i], sides[i + 1 - m]
         if sa <= 0:
-            lo_part.append(cell[i])
+            lo_verts.append(verts[i])
+            lo_edges.append(cut if sa == 0 and sb > 0 else edge)
         if sa >= 0:
-            hi_part.append(cell[i])
+            hi_verts.append(verts[i])
+            hi_edges.append(cut if sa == 0 and sb < 0 else edge)
         if sa * sb < 0:
-            b, vb = cell[(i + 1) % m]
-            ak = va[k][0]
-            t = (ak - c[0]) / (ak - vb[k][0])
-            p = tuple(pa + t * (pb - pa) for pa, pb in zip(a, b))
-            v = tuple(c if j == k else _enclosed(xa[0] + t * (xb[0] - xa[0]))
-                      for j, (xa, xb) in enumerate(zip(va, vb)))
-            lo_part.append((p, v))
-            hi_part.append((p, v))
-    return lo_part, hi_part
+            x = lines.meet(cut, edge)
+            lo_verts.append(x)
+            lo_edges.append(cut if sb > 0 else edge)
+            hi_verts.append(x)
+            hi_edges.append(cut if sb < 0 else edge)
+    return (lo_verts, lo_edges), (hi_verts, hi_edges)
 
 
-def _extent(cell, k):
-    """(min, max) of nu_k . y over the cell's vertices, as enclosed values."""
-    lo = hi = cell[0][1][k]
-    for _, v in cell[1:]:
+def _extent(verts, k, sign_of):
+    """(min, max) of nu_k . y over the vertices, as slab values."""
+    lo = hi = verts[0][1][k]
+    for _, v in verts[1:]:
         x = v[k]
-        if _cmp(x, lo) < 0:
+        if _cmp(x, lo, sign_of) < 0:
             lo = x
-        elif _cmp(x, hi) > 0:
+        elif _cmp(x, hi, sign_of) > 0:
             hi = x
     return lo, hi
 
@@ -229,15 +342,27 @@ def _cross(a, b):
     return a[0] * b[1] - a[1] * b[0]
 
 
-def _poly_area(poly):
-    if len(poly) < 3:
-        zero = poly[0][0] - poly[0][0] if poly else Fraction(0)
-        return zero
-    acc = None
-    for k in range(len(poly)):
-        t = _cross(poly[k], poly[(k + 1) % len(poly)])
-        acc = t if acc is None else acc + t
-    return abs(acc / 2)
+def _poly_area(*polys):
+    """The total area of counter-clockwise polygons with `FieldElem`
+    coordinates: twice it is the sum of the cross products p_i x p_(i+1)
+    over the edges of all of them (the shoelace formula).  Every coordinate
+    is taken over one common denominator, so that sum is one sum of
+    unreduced integer polynomial products, reduced by the field once."""
+    field = polys[0][0][0].field
+    den = math.lcm(*{x.den for poly in polys for p in poly for x in p})
+    acc = [0] * (2 * field.degree - 1)
+    for poly in polys:
+        pts = [[[c * (den // x.den) for c in x.num] for x in p] for p in poly]
+        for (a0, a1), (b0, b1) in zip(pts, pts[1:] + pts[:1]):
+            for i, x in enumerate(a0):
+                if x:
+                    for j, y in enumerate(b1, i):
+                        acc[j] += x * y
+            for i, x in enumerate(a1):
+                if x:
+                    for j, y in enumerate(b0, i):
+                        acc[j] -= x * y
+    return abs(field.from_product(acc, 2 * den * den))
 
 
 def _window_polygon(w: Window):
@@ -326,27 +451,29 @@ def _arrangement(s: Slope, r: int, w: Window):
     label of each cell and the masks that read walk membership off a label.
     Returns (cells, labels, masks).
 
-    Each cut is a line nu_k . y = c of slab k.  Each cell carries its extent
-    (min, max) of nu_k . y over its vertices for every k.  A cell is convex
-    and nu_k . y is linear, so the values it takes on the cell fill exactly
-    that extent: the cut meets the cell's interior, and so splits it, iff
-    min < c < max, which is the condition "some vertex strictly on each
-    side".  Only a cell that splits gets a vertex pass.
+    Each cut is a line nu_k . y = c of slab k, at the integer line
+    coordinates of `_Lines`.  Each cell carries its extent (min, max) of
+    nu_k . y over its vertices for every k.  A cell is convex and nu_k . y
+    is linear, so the values it takes on the cell fill exactly that extent:
+    the cut meets the cell's interior, and so splits it, iff min < c < max,
+    which is the condition "some vertex strictly on each side".  Only a cell
+    that splits gets a vertex pass.
 
     A cut on a line already cut, or on a window edge, meets no cell's
     interior: the first cut of a line split every cell it crossed.  Such a
-    cut, known by its slab and the coefficients of its offset, is skipped.
+    cut, known by its slab and its integer vector C, is skipped.
 
-    The slab values (window vertices' nu_k . p, interpolated crossing
-    values, cut offsets c) are exact field elements, each created once with
-    its integer enclosure [lo, hi] of 2^FILTER_BITS times the value, and
+    Every slab value (of a window vertex, of a crossing point, of a cut) is
+    an integer vector over its slab's one denominator, created once with its
+    integer enclosure [lo, hi] of 2^FILTER_BITS times the scaled value, and
     `_cmp` compares two of them.  The filter is exact: both enclosures are
     certified, so hi_a < lo_b proves a < b and lo_a > hi_b proves a > b.
     Every other pair, which includes every pair of equal values, goes to
-    `_sgn` of the exact difference, that is to `NumberField.sign_of`, whose
-    exact path reports equal values as 0; a cut along a cell edge gives
-    c = min or c = max, and the cell does not split.  So the test gives the
-    cells that exact comparisons alone give.
+    `NumberField.sign_of` of the integer difference, whose exact path
+    reports equal values as 0; a cut along a cell edge gives c = min or
+    c = max, and the cell does not split.  So the test gives the cells that
+    exact comparisons alone give.  The returned polygons are built once per
+    point from its integer coordinates.
 
     Labels.  Every distinct cut (k, c), the window's own bounds included,
     owns one bit, and a cell's label has that bit set iff the cell lies on
@@ -365,51 +492,68 @@ def _arrangement(s: Slope, r: int, w: Window):
     |x|_1 <= r + 1, all the offsets an r-pattern's walks test, and a label
     decides each of them on its whole open cell.
     """
-    b = eprime_basis(s)
-    nk = len(w.slabs)
-    base = [(p, tuple(_enclosed(dot(nu, p)) for nu, _, _ in w.slabs))
+    lines = _Lines(w, eprime_basis(s))
+    nk, sign_of = lines.nk, lines.sign_of
+    base = [lines.vertex(tuple(c for x in p for c in _cleared(x, lines.den)))
             for p in _window_polygon(w)]
+    # each window edge lies on the one slab line through both its ends
+    edges = []
+    for (_, va), (_, vb) in zip(base, base[1:] + base[:1]):
+        k = next(k for k in range(nk) if va[k][0] == vb[k][0])
+        edges.append(lines.line(k, tuple(x // lines.scales[k] for x in va[k][0])))
     bits = {}
-    for k, (_, lo, hi) in enumerate(w.slabs):
-        bits[k, lo.num, lo.den] = 2 * k
-        bits[k, hi.num, hi.den] = 2 * k + 1
+    for k in range(nk):
+        bits[k, lines.lo[k]] = 2 * k
+        bits[k, lines.hi[k]] = 2 * k + 1
     # every cell lies above the window's lo_k and below its hi_k
     inside = sum(1 << 2 * k for k in range(nk))
     masks = {(0,) * s.n: (inside, inside << 1)}
-    cells = [(base, [_extent(base, k) for k in range(nk)], inside)]
+    cells = [(base, edges, [_extent(base, k, sign_of) for k in range(nk)], inside)]
     for x in _reachable_offsets(s.n, r + 1):
-        shift = b.apply(x)
         need_forbid = [0, 0]
-        for k, (nu, lo, hi) in enumerate(w.slabs):
-            t = dot(nu, shift)
-            for side, c in enumerate((lo - t, hi - t)):
-                bit = bits.get((k, c.num, c.den))
+        for k, cols in enumerate(lines.cols):
+            t = [sum(map(mul, x, col)) for col in cols]
+            for side, bound in enumerate((lines.lo[k], lines.hi[k])):
+                c = tuple(map(sub, bound, t))
+                bit = bits.get((k, c))
                 if bit is None:
-                    bit = bits[k, c.num, c.den] = len(bits)
-                    cells = _cut(cells, k, _enclosed(c), 1 << bit)
+                    bit = bits[k, c] = len(bits)
+                    cells = _cut(lines, cells, lines.line(k, c), 1 << bit)
                 need_forbid[side] |= 1 << bit
         masks[x] = tuple(need_forbid)
-    return ([[p for p, _ in cell] for cell, _, _ in cells],
-            [label for _, _, label in cells], masks)
+    points = {}
+    polys = []
+    for verts, _, _, _ in cells:
+        poly = []
+        for p, _ in verts:
+            point = points.get(p)
+            if point is None:
+                point = points[p] = lines.point(p)
+            poly.append(point)
+        polys.append(poly)
+    return polys, [label for _, _, _, label in cells], masks
 
 
-def _cut(cells, k, c, bit):
-    """The cells, each with its extents and label, after the cut
-    nu_k . y = c; `bit` is set on the side nu_k . y > c."""
+def _cut(lines, cells, cut, bit):
+    """The cells, each with its edge lines, extents and label, after the cut
+    by the line `cut` of slab k; `bit` is set on the side nu_k . y > c."""
+    k, c, _ = cut
+    sign_of = lines.sign_of
     out = []
-    for cell, ext, label in cells:
+    for verts, edges, ext, label in cells:
         cmin, cmax = ext[k]
-        if _cmp(c, cmin) <= 0:
-            out.append((cell, ext, label | bit))
-        elif _cmp(cmax, c) <= 0:
-            out.append((cell, ext, label))
+        if _cmp(c, cmin, sign_of) <= 0:
+            out.append((verts, edges, ext, label | bit))
+        elif _cmp(cmax, c, sign_of) <= 0:
+            out.append((verts, edges, ext, label))
         else:
-            lo_part, hi_part = _split(cell, k, c)
+            lo_part, hi_part = _split(lines, verts, edges, cut)
             # the cut's own slab: the halves meet at c
-            for part, own, side in ((lo_part, (cmin, c), label),
-                                    (hi_part, (c, cmax), label | bit)):
-                out.append((part, [own if j == k else _extent(part, j)
-                                   for j in range(len(ext))], side))
+            for (part, part_edges), own, side in ((lo_part, (cmin, c), label),
+                                                  (hi_part, (c, cmax), label | bit)):
+                out.append((part, part_edges,
+                            [own if j == k else _extent(part, j, sign_of)
+                             for j in range(len(ext))], side))
     return out
 
 
@@ -418,7 +562,9 @@ def _enumerate_exact_2d(s: Slope, r: int, w: Window) -> PatternAtlas:
     partition the window.  A cell's r-pattern is the walk of `r_pattern_at`
     with "x is in the window" read off the cell's label by two mask tests,
     which holds at every point of the open cell: no field arithmetic, no
-    sample point and no lattice membership."""
+    sample point and no lattice membership.  A pattern's area is one
+    `_poly_area` over its cells, all counter-clockwise as the window
+    polygon is, since a split keeps the order of the vertices."""
     cells, labels, masks = _arrangement(s, r, w)
     by_pattern = {}
     for poly, label in zip(cells, labels):
@@ -430,11 +576,7 @@ def _enumerate_exact_2d(s: Slope, r: int, w: Window) -> PatternAtlas:
     entries = []
     for key in sorted(by_pattern):
         pat, polys = by_pattern[key]
-        area = None
-        for poly in polys:
-            a = _poly_area(poly)
-            area = a if area is None else area + a
-        entries.append(AtlasEntry(pat.canonical(), area, polys))
+        entries.append(AtlasEntry(pat.canonical(), _poly_area(*polys), polys))
     total = None
     for e in entries:
         total = e.area if total is None else total + e.area

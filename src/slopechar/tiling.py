@@ -23,6 +23,7 @@ from operator import add, mul, sub
 from .errors import InputError, SingularOffset
 from .geometry import Window, complementary_zonotope, eprime_basis, window
 from .linalg import dot, solve_right
+from .numfield import FILTER_BITS
 from .slope import Slope
 
 
@@ -65,6 +66,28 @@ def _cleared(e, den):
     return tuple(c * scale for c in e.num)
 
 
+# a bound enclosed more than 2^_WIDE_BOUND_BITS times as widely as all its
+# slab's columns together is enclosed again from its value
+_WIDE_BOUND_BITS = 8
+
+
+def _bound_enclosure(bound, common, wide):
+    """(num, l, u): the numerators of a slab bound over `common`, and
+    integers l <= 2^FILTER_BITS common bound <= u.  The enclosure of the
+    numerators is as wide as their size, not as the bound's value: an offset
+    with large cancelling coefficients makes it wider than the enclosure of
+    any walk point's slab value.  Where it is wider than `wide`, the bound
+    is enclosed once from its interval enclosure refined to width
+    2^-FILTER_BITS / common."""
+    num = _cleared(bound, common)
+    lo, hi = bound.field.enclosure(num)
+    if hi - lo > wide:
+        scale = common << FILTER_BITS
+        a, b = bound.interval(Fraction(1, scale))
+        lo, hi = math.floor(a * scale), math.ceil(b * scale)
+    return num, lo, hi
+
+
 class LatticeMembership:
     """Cached exact membership of B x in (window + offset) for x in Z^n.
 
@@ -93,15 +116,15 @@ class LatticeMembership:
             common = math.lcm(den, lo.den, hi.den)
             if common != den:
                 cols = tuple(tuple(v * (common // den) for v in col) for col in cols)
-            lo, hi = _cleared(lo, common), _cleared(hi, common)
             # 2^(FILTER_BITS + 1) common (nu . B x) lies within m -+ r for
             # m = sum x_j mid_j and r = sum |x_j| rad_j: the sum of
             # x_j [L_j, U_j] with the ends swapped where x_j < 0
             encs = [field.enclosure(col) for col in zip(*cols)]
             mid = tuple(l + u for l, u in encs)
             rad = tuple(u - l for l, u in encs)
-            lo_l, lo_u = field.enclosure(lo)
-            hi_l, hi_u = field.enclosure(hi)
+            wide = sum(rad) << _WIDE_BOUND_BITS
+            lo, lo_l, lo_u = _bound_enclosure(lo, common, wide)
+            hi, hi_l, hi_u = _bound_enclosure(hi, common, wide)
             self.tests.append((cols, lo, hi, mid, rad,
                                2 * lo_l, 2 * lo_u, 2 * hi_l, 2 * hi_u))
         self.cache = {}
@@ -128,8 +151,10 @@ class LatticeMembership:
                 return -1
             sign_of = self.field.sign_of
             acc = [sum(map(mul, x, col)) for col in cols]
-            side = min(sign_of([a - c for a, c in zip(acc, lo)]),
-                       sign_of([c - a for a, c in zip(acc, hi)]))
+            # a bound whose enclosure is clear of the value's is not tested
+            side = 1 if lo_u < mt - rt else sign_of([a - c for a, c in zip(acc, lo)])
+            if side >= 0 and not mt + rt < hi_l:
+                side = min(side, sign_of([c - a for a, c in zip(acc, hi)]))
             if side < 0:
                 return -1
             result = min(result, side)

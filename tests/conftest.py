@@ -71,3 +71,24 @@ def half42():
     """The generators of ammann_beenker over Q(sqrt(3/2)), whose monic
     minpoly x^2 - 3/2 has a non-integer coefficient."""
     return specfile.to_slope(specfile.parse_spec(HALF42))
+
+
+# a fixed-stream 5->3 slope of the verdict benchmark over a cubic field:
+# NotCharacterized, with a 10-variable Groebner basis
+GEN53Q3 = """\
+minpoly = ["-2", "3", "2", "1"]
+root_interval = ["0", "1"]
+n = 5
+d = 3
+generators = [[["1", "0", "0"], ["0", "0", "0"], ["0", "0", "0"], ["-1", "-1", "-1"], \
+["0", "1", "0"]], [["0", "0", "0"], ["1", "0", "0"], ["0", "0", "0"], ["0", "0", "0"], \
+["1", "1", "-1"]], [["0", "0", "0"], ["0", "0", "0"], ["1", "0", "0"], ["1", "0", "-1"], \
+["-1", "0", "0"]]]
+normalization = "G123"
+"""
+
+
+@pytest.fixture(scope="session")
+def gen53q3():
+    """A 5->3 slope over a cubic field: five generators, a 2-D window."""
+    return specfile.to_slope(specfile.parse_spec(GEN53Q3))

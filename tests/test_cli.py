@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import GEN53Q3, HALF42, QUAD42
 from slopechar import charcheck, cli, specfile
 from slopechar.tiling import Face, face_selected_by_anchor
 
@@ -104,27 +105,25 @@ def test_rpatterns_sampled_golden(tmp_path):
 @pytest.mark.parametrize("spec, r, digest", [
     (AB, "1", "8c4066fd33ac5f98f56a56956317776463910b416122fb6e520bfe16830df0ed"),
     (TYPICAL, "0", "6a609a730c106a07ad372690e36c7b5fb8010e7251bc9c4b743d77cef16cd363"),
-], ids=["ammann_beenker_r1", "typical_r0"])
+    ("gen53q3", "0", "672b4af30b3a3323e409c7d9aca6052a3fd1026c69c9f63aec5e901f552be55e"),
+    ("quad42", "1", "da9fb945b194815b7d0dd6f34cdce7fb8acfa9e5e23410bf216f65f71a5c76dc"),
+    ("half42", "1", "491d455c62597f1518f6f41cbe468ff7deab3bf210d577991e77cabff40ff13b"),
+], ids=["ammann_beenker_r1", "typical_r0", "gen53q3_r0", "quad42_r1", "half42_r1"])
 def test_rpatterns_exact_golden(tmp_path, spec, r, digest):
     # the exact 2-D atlas as the vertex-pass side test of every cell against
-    # every cut gave it
+    # every cut gave it (the first two), and as the FieldElem cut loop gave it
+    # (the last three: five generators over a cubic field, a hexagonal window
+    # with 3 slabs, a non-integral minpoly)
+    if spec in SPEC_TEXTS:
+        path = tmp_path / f"{spec}.slope"
+        path.write_text(SPEC_TEXTS[spec])
+        spec = str(path)
     _, text = _run_json(["rpatterns", spec, "--r", r], tmp_path, "rpatterns")
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-# a fixed-stream 5->3 slope of the verdict benchmark: NotCharacterized, with a
-# 10-variable Groebner basis
-GEN53Q3 = """\
-minpoly = ["-2", "3", "2", "1"]
-root_interval = ["0", "1"]
-n = 5
-d = 3
-generators = [[["1", "0", "0"], ["0", "0", "0"], ["0", "0", "0"], ["-1", "-1", "-1"], \
-["0", "1", "0"]], [["0", "0", "0"], ["1", "0", "0"], ["0", "0", "0"], ["0", "0", "0"], \
-["1", "1", "-1"]], [["0", "0", "0"], ["0", "0", "0"], ["1", "0", "0"], ["1", "0", "-1"], \
-["-1", "0", "0"]]]
-normalization = "G123"
-"""
+# slopes without a fixture file, by name
+SPEC_TEXTS = {"gen53q3": GEN53Q3, "quad42": QUAD42, "half42": HALF42}
 
 
 @pytest.mark.parametrize("spec, digest", [

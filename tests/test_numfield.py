@@ -357,6 +357,50 @@ def test_approx_of_small_values():
                 _assert_approx(x.approx(6), _mp_value("quadratic", x.coeffs), 6)
 
 
+@st.composite
+def _scaled_elements(draw):
+    """(field name, coefficients): an element of `_elements` times
+    +-10^e, e in [-40, 40], for negative, tiny and large values."""
+    name, coeffs = draw(_elements())
+    scale = F(10) ** draw(st.integers(-40, 40)) * draw(st.sampled_from([1, -1]))
+    return name, tuple(c * scale for c in coeffs)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_scaled_elements(), st.sampled_from([1, 3, 6, 15]))
+def test_approx_from_the_enclosure_matches_mpmath(elem, digits):
+    name, coeffs = elem
+    with mpmath.workdps(APPROX_DPS):
+        value = _mp_value(name, coeffs)
+        _assert_approx(FIELDS[name]().elem(coeffs).approx(digits), value, digits)
+
+
+def test_approx_near_a_rounding_tie_refines_the_interval(monkeypatch):
+    """Within 2^-FILTER_BITS of a rounding tie, or at one, the enclosure's
+    ends round differently, and the rounding comes from interval refinement
+    (a point interval for the rational tie, rounded half up); farther away
+    the enclosure decides alone."""
+    f = sqrt2()
+    tiny = (f.alpha - 1) ** 80  # about 2.4e-31, below 2^-96
+    tie = F("1.234565")
+    calls = []
+    interval_of = NumberField.interval_of
+    monkeypatch.setattr(NumberField, "interval_of",
+                        lambda self, num: calls.append(num) or interval_of(self, num))
+    for x, text in ((tie + tiny, "1.23457"), (tie - tiny, "1.23456"),
+                    (-(tie + tiny), "-1.23457"), (tiny - tie, "-1.23456"),
+                    (f.from_rational(tie), "1.23457")):
+        calls.clear()
+        assert x.approx(6) == text
+        assert calls
+    with mpmath.workdps(APPROX_DPS):
+        for x in (f.alpha, -f.alpha, f.alpha * 10 ** 20, (f.alpha - 1) ** 20,
+                  -(f.alpha + 1) ** 20, tie + f.alpha / 10 ** 4):
+            calls.clear()
+            _assert_approx(x.approx(6), _mp_value("quadratic", x.coeffs), 6)
+            assert not calls
+
+
 def _assert_nearest_double(d, value):
     """No double is closer to `value` than d."""
     err = abs(mpmath.mpf(d) - value)

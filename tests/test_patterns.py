@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import arrangement_oracle
 from slopechar import patterns
 from slopechar.geometry import (BOUNDARY, INSIDE, OUTSIDE, _sgn, eprime_basis,
                                 window)
@@ -188,12 +189,12 @@ def test_arrangement_runs_the_exact_sign_path(ab, monkeypatch):
     # cuts along existing cell edges make extent and side comparisons exactly
     # 0; the filter of sign_of never returns 0, only its exact path does
     inside, zeros = [], []
-    sgn, sign_of = patterns._sgn, NumberField.sign_of
+    cmp, sign_of = patterns._cmp, NumberField.sign_of
 
-    def counting_sgn(x):
+    def counting_cmp(a, b, sign):
         inside.append(True)
         try:
-            return sgn(x)
+            return cmp(a, b, sign)
         finally:
             inside.pop()
 
@@ -203,7 +204,7 @@ def test_arrangement_runs_the_exact_sign_path(ab, monkeypatch):
             zeros.append(coeffs)
         return out
 
-    monkeypatch.setattr(patterns, "_sgn", counting_sgn)
+    monkeypatch.setattr(patterns, "_cmp", counting_cmp)
     monkeypatch.setattr(NumberField, "sign_of", counting_sign_of)
     patterns._arrangement(ab, 1, window(ab))
     assert zeros
@@ -212,23 +213,29 @@ def test_arrangement_runs_the_exact_sign_path(ab, monkeypatch):
 @pytest.mark.parametrize("name, r", [("ab", 0), ("ab", 1), ("typical", 0)])
 def test_split_halves_are_cells(request, monkeypatch, name, r):
     # a split never yields an empty half or a repeated vertex: each half has
-    # at least 3 vertices, all distinct
+    # at least 3 vertices, all distinct, and each edge of a half lies on the
+    # line it keeps: both its ends take the line's value on the line's slab
     s = request.getfixturevalue(name)
     halves = []
     split = patterns._split
 
-    def recording_split(cell, k, c):
-        out = split(cell, k, c)
+    def recording_split(lines, verts, edges, cut):
+        out = split(lines, verts, edges, cut)
         halves.extend(out)
         return out
 
     monkeypatch.setattr(patterns, "_split", recording_split)
     patterns._arrangement(s, r, window(s))
     assert halves
-    for part in halves:
-        points = [tuple(x.coeffs for x in p) for p, _ in part]
+    for verts, edges in halves:
+        # integer coordinates over one denominator: equal points, equal keys
+        points = [p for p, _ in verts]
         assert len(points) >= 3
         assert len(set(points)) == len(points)
+        assert len(edges) == len(verts)
+        for i, (k, value, _) in enumerate(edges):
+            for _, values in (verts[i], verts[(i + 1) % len(verts)]):
+                assert values[k][0] == value[0]
 
 
 @pytest.mark.parametrize("name", ["ab", "typical"])
@@ -237,16 +244,17 @@ def test_enclosure_comparisons_match_exact_signs(request, monkeypatch, name):
     # sign of the difference, and most are decided by the enclosures alone
     s = request.getfixturevalue(name)
     calls, exact = [], []
-    cmp, sgn = patterns._cmp, patterns._sgn
+    cmp = patterns._cmp
+    f = s.field
 
-    def checking_cmp(a, b):
-        out = cmp(a, b)
-        assert out == sgn(a[0] - b[0])
+    def checking_cmp(a, b, sign_of):
+        out = cmp(a, b, lambda d: exact.append(d) or sign_of(d))
+        # values of one slab share a denominator: the numerators' order
+        assert out == _sgn(f.elem(a[0]) - f.elem(b[0]))
         calls.append(out)
         return out
 
     monkeypatch.setattr(patterns, "_cmp", checking_cmp)
-    monkeypatch.setattr(patterns, "_sgn", lambda x: exact.append(x) or sgn(x))
     patterns._arrangement(s, 0, window(s))
     assert set(calls) == {-1, 0, 1}
     assert len(exact) < len(calls) / 4
@@ -291,27 +299,73 @@ def test_exact_atlas_takes_no_lattice_walk(ab, penrose, monkeypatch):
     assert calls
 
 
-def test_cmp_decides_overlapping_enclosures_exactly(monkeypatch):
-    # convergents p/q of sqrt 2 closer than 2^-96: their enclosures overlap
-    # alpha's, so only the exact path can order them, on either side
+def test_cmp_decides_overlapping_enclosures_exactly():
+    # convergents p/q of sqrt 2 closer than 2^-96, as slab values over the
+    # denominator q: the integer vectors (0, q) and (p, 0), whose enclosures
+    # overlap, so only the exact path can order them, on either side
     f = NumberField([-2, 0, 1], (F(1), F(2)))
     exact = []
-    monkeypatch.setattr(patterns, "_sgn", lambda x: exact.append(x) or _sgn(x))
-    alpha = patterns._enclosed(f.alpha)
+
+    def sign_of(d):
+        exact.append(d)
+        return f.sign_of(d)
+
+    def value(v):
+        return (v, *f.enclosure(v))
+
     p, q = 1, 1
     while q < 10 ** 16:
         p, q = p + 2 * q, p + q
     sides = set()
     for p, q in ((p, q), (p + 2 * q, p + q)):
-        conv = patterns._enclosed(f.from_rational(F(p, q)))
+        alpha, conv = value((0, q)), value((p, 0))
         assert conv[1] <= alpha[2] and alpha[1] <= conv[2]
         side = 1 if 2 * q * q > p * p else -1  # sqrt 2 > p/q
-        assert patterns._cmp(alpha, conv) == side
-        assert patterns._cmp(conv, alpha) == -side
+        assert patterns._cmp(alpha, conv, sign_of) == side
+        assert patterns._cmp(conv, alpha, sign_of) == -side
         sides.add(side)
+        assert patterns._cmp(alpha, alpha, sign_of) == 0
     assert sides == {-1, 1}
-    assert patterns._cmp(alpha, alpha) == 0
     assert len(exact) == 4
+
+
+# quad42 is also the atlas benchmark's generated slope gen42q2 (its fixed
+# stream draws these generators), so the last case covers it
+ORACLE_CASES = [("ab", 0), ("ab", 1), ("ab", 2), ("typical", 0), ("typical", 1),
+                ("quad42", 0), ("quad42", 1), ("quad42", 2), ("half42", 0), ("half42", 1),
+                ("half42", 2), ("gen53q3", 0)]
+
+
+@pytest.mark.parametrize("name, r", ORACLE_CASES)
+def test_integer_arrangement_matches_the_field_oracle(request, name, r):
+    # the cut loop on integer line coordinates gives the cells, vertices,
+    # labels and masks of the FieldElem cut loop, and each pattern's area is
+    # the sum of the oracle's per-cell areas
+    s = request.getfixturevalue(name)
+    w = window(s)
+    cells, labels, masks = patterns._arrangement(s, r, w)
+    want = arrangement_oracle.arrangement(s, r, w)
+    assert (cells, labels, masks) == want
+    areas = {}
+    for area, label in zip(arrangement_oracle.cell_areas(want[0]), want[1]):
+        key = patterns._walk(s.n, r, patterns._label_status(label, want[2])).encode()
+        areas[key] = areas[key] + area if key in areas else area
+    atlas = enumerate_r_patterns(s, r)
+    assert atlas.complete
+    assert {e.pattern.encode(): e.area for e in atlas.entries} == areas
+
+
+def test_poly_area_of_one_polygon_and_of_a_union(ab):
+    # one polygon: the oracle's area; a union of counter-clockwise cells:
+    # the sum of their areas, from one reduction
+    cells, _, _ = patterns._arrangement(ab, 0, window(ab))
+    areas = arrangement_oracle.cell_areas(cells)
+    for poly, area in zip(cells, areas):
+        assert patterns._poly_area(poly) == area
+    total = areas[0]
+    for area in areas[1:]:
+        total = total + area
+    assert patterns._poly_area(*cells) == total == window(ab).volume()
 
 
 def test_sampled_atlas_takes_every_sample(penrose):

@@ -10,12 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import digitize_oracle
-from slopechar import specfile, tiling
+from slopechar import patterns, specfile, tiling
 from slopechar.errors import InputError
 from slopechar.geometry import (BOUNDARY, INSIDE, complementary_zonotope,
                                 eprime_basis, window)
 from slopechar.linalg import Matrix, dot, kernel_int
-from slopechar.numfield import NumberField
+from slopechar.numfield import FieldElem, NumberField
 from slopechar.slope import Slope
 from slopechar.specfile import spec_offset
 from slopechar.tiling import (Face, LatticeMembership, SingularOffset,
@@ -442,6 +442,53 @@ def test_walk_falls_back_to_the_exact_test_next_to_a_bound(ab, monkeypatch):
         assert len(at_x) == 1 and at_x[0][0] == want and at_x[0][1] > 0
         assert (x in patch.vertex_set()) == (want > 0)
         assert patch.faces == digitize_oracle.digitize_faces(ab, offset, F(4))
+
+
+def test_bounds_with_cancelling_coefficients_keep_the_filter(ab, monkeypatch):
+    # the offset's coefficients have 103-105 bits and cancel to a value of
+    # size 1: enclosed from those coefficients every bound was about 2^105
+    # wide, and every walk point took the exact path (6,664 interval_of
+    # calls).  Each bound is now enclosed once from its refined interval (10
+    # calls for 8 bounds), the exact path runs, with about one call each,
+    # only for the 55 walk points that lie on the two lines (sqrt 2 - 1)^80
+    # inside the first slab's bounds, which no enclosure separates from
+    # them, and the seed search and the radius cut take a few floats: 72
+    # calls in a fresh process, fewer once the field's interval is refined
+    eps = (ab.field.alpha - 1) ** 80
+    offset = _offset_near_a_bound(ab, (1, -2, 0, 3), -eps)
+    assert max(abs(c) for x in offset for c in x.num).bit_length() > 100
+    calls = []
+    interval_of = NumberField.interval_of
+    monkeypatch.setattr(NumberField, "interval_of",
+                        lambda f, num: calls.append(num) or interval_of(f, num))
+    patch = digitize(ab, offset=offset, radius=F(4))
+    monkeypatch.undo()
+    assert 0 < len(calls) <= 80
+    assert patch.faces == digitize_oracle.digitize_faces(ab, offset, F(4))
+    # every point the walk tested, inside the window or not, has the status
+    # that FieldElem arithmetic gives
+    w, b = window(ab), eprime_basis(ab)
+    assert len(patch.member.cache) > len(patch.vertex_set())
+    for x, status in patch.member.cache.items():
+        assert _reference_status(w, b, offset, x) == status
+
+
+def test_bounds_of_drawn_offsets_are_not_tightened(typical, ab, penrose, monkeypatch):
+    # drawn, integral-sum and sampled-atlas offsets have bounds whose
+    # enclosures are at most a few times as wide as their columns': the
+    # tightening never runs there
+    cases = []
+    for s in (typical, ab, penrose):
+        cases += [(s, draw_offset(s, f"{seed}:0")) for seed in range(8)]
+    cases.append((penrose, integral_sum_offset(penrose)))
+    tightened = []
+    interval = FieldElem.interval
+    monkeypatch.setattr(FieldElem, "interval",
+                        lambda x, width: tightened.append(x) or interval(x, width))
+    for s, offset in cases:
+        LatticeMembership(window(s), eprime_basis(s), offset)
+    patterns.enumerate_r_patterns(penrose, 0, samples=20, seed=5)
+    assert tightened == []
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
