@@ -536,9 +536,8 @@ def _candidates(v):
             c = Fraction(num, den)
             if c != 0 and c.denominator == den:
                 candidates.append(c)
-    # among candidates close to the root interval prefer the simplest; the
-    # coarse closeness filter keeps the choice independent of how far the
-    # interval happens to be refined already
+    # among candidates within 1/10 of v's enclosure prefer the simplest, the
+    # nearest first
     def dist(c):
         d = max(lo - c, c - hi)
         return d if d > 0 else Fraction(0)

@@ -156,9 +156,6 @@ class Window:
                     hi[j] = hi[j] + x
         return lo, hi
 
-    def as_hpolytope(self) -> "HPolytope":
-        return HPolytope(self.halfspaces(), self.dim)
-
 
 def _unit_of(base, generators):
     for v in [base] + list(generators):

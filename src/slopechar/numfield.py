@@ -14,39 +14,36 @@ matrix of multiplication by the element with Cramer's rule, its cofactors
 from one fraction-free elimination.  `FieldElem.coeffs` gives the residue
 as Fractions, for output.
 
-Signs are decided exactly, by `NumberField.sign_of` on a vector of integer
-numerators; den > 0 leaves the sign alone.  A certified fixed-point filter
-comes first: each field keeps integer bounds
-L_i <= 2^FILTER_BITS * alpha^i <= U_i, found once by an integer bisection of
-the minimal polynomial at dyadic points, and a vector whose enclosure
-sum c_i [L_i, U_i] (`NumberField.enclosure`) excludes 0 gets the sign of that
-enclosure with integer arithmetic only.  Only when the enclosure contains 0
-does the exact path run: the zero test on the numerators, then bisection of
-alpha's isolating interval until the interval enclosure of the element
-excludes 0.  Two values whose enclosures (`FieldElem.enclosure`, the
-numerators' enclosure divided by den) are disjoint are ordered by their
-enclosures alone.  The atlas arrangement compares the enclosures of its
-integer slab values that way, and lattice membership
-(`tiling.LatticeMembership`) compares the enclosure of a slab value, summed
-from the enclosures of the slab's integer columns, with the enclosures of
-the slab's bounds.  `FieldElem.floor` reads the floor off an enclosure that
-holds no integer, and `FieldElem.approx` its decimal rounding off an
-enclosure whose two ends round alike; each refines the interval enclosure
-otherwise.
+Every exact decision reads one approximation of alpha: integer bounds
+L_i <= 2^bits * alpha^i <= U_i, U_i - L_i <= 2, kept per precision `bits`
+and found by an integer bisection of the minimal polynomial at dyadic points.
+Integer numerators c get the enclosure sum c_i [L_i, U_i]
+(`NumberField.enclosure`), the certified fixed-point filter of Bronnimann,
+Burnikel and Pion (2001).  Signs, floors, decimal roundings, doubles and
+intervals of a given width are read off the first enclosure that decides
+them, at FILTER_BITS and then at twice as many bits each time
+(`NumberField.decide`).  An irrational value is not 0, no integer and no
+rounding tie, and its enclosures shrink to it, so the doubling ends; a
+rational value is answered from its numerator and den.  The isolating
+interval given to the field only starts the bisection and never changes, so
+no result depends on earlier calls.  Two values with disjoint enclosures are
+ordered by them alone: the atlas arrangement compares its integer slab values
+that way, and lattice membership (`tiling.LatticeMembership`) compares a
+slab value, summed from the enclosures of the slab's integer columns, with
+the slab's bounds.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import InputError
 
 
-# binary digits of the fixed-point sign filter: its enclosures of
-# 2^FILTER_BITS * alpha^i are at most 2 apart, so every element farther than
-# about 2^-FILTER_BITS * sum |c_i| from 0 is decided without exact arithmetic
+# binary digits of the first enclosure of every decision: it decides the sign
+# of every element farther than about 2^-FILTER_BITS * sum |c_i| from 0
 FILTER_BITS = 96
 
 
@@ -229,7 +226,8 @@ class NumberField:
                         break
             self._lo, self._hi = lo, hi
         self._sign_at_lo = 1 if poly_eval(self.minpoly, self._lo) > 0 else -1
-        self._filter = None  # (L_i, U_i) per power of alpha, built on first use
+        # bits -> (L_i, U_i) per power of alpha, built on first use
+        self._filters: dict[int, tuple[tuple[int, int], ...]] = {}
         # (D, rows): D * alpha^i = sum_t rows[i - degree][t] alpha^t for
         # i = degree .. 2 degree - 2, with integer rows; D = 1 for an integer
         # minpoly
@@ -272,48 +270,27 @@ class NumberField:
     def root_interval(self) -> tuple[Fraction, Fraction]:
         return self._lo, self._hi
 
-    # -- root interval refinement --------------------------------------------
-
-    def _refine(self) -> None:
-        """One bisection step on the cached isolating interval: keep the half
-        that holds alpha."""
-        if self.degree > 1:
-            mid = (self._lo + self._hi) / 2
-            if (poly_eval(self.minpoly, mid) > 0) == (self._sign_at_lo > 0):
-                self._lo = mid
-            else:
-                self._hi = mid
-
-    def interval_of(self, coeffs) -> tuple[Fraction, Fraction]:
-        """Interval enclosure of sum coeffs[i] * alpha^i at current precision."""
-        lo = hi = Fraction(0)
-        for c in reversed(coeffs):
-            # (lo,hi) * (alo,ahi) + c  with directed rounding on endpoints
-            cands = (lo * self._lo, lo * self._hi, hi * self._lo, hi * self._hi)
-            lo, hi = min(cands) + c, max(cands) + c
-        return lo, hi
-
     # -- signs ----------------------------------------------------------------
 
-    def _filter_bounds(self) -> tuple[tuple[int, int], ...]:
-        """Integer bounds L_i <= 2^FILTER_BITS * alpha^i <= U_i, U_i - L_i <= 2.
+    def _filter_bounds(self, bits: int = FILTER_BITS) -> tuple[tuple[int, int], ...]:
+        """Integer bounds L_i <= 2^bits * alpha^i <= U_i, U_i - L_i <= 2,
+        cached per `bits`.
 
         Bisects on dyadic points c / 2^m with integers only.  Inside the
         isolating interval, which holds no other root, c / 2^m is below alpha
         iff the minpoly has there the sign it has at the interval's lower
         end; that sign is the sign of sum p_i c^i 2^(m (degree - i)) for the
-        minpoly's integer multiple p.  The shared isolating interval, which
-        `interval`, `approx` and `root_interval` read, stays as it is."""
-        scale = 1 << FILTER_BITS
+        minpoly's integer multiple p."""
+        scale = 1 << bits
         if self.degree == 1:
-            self._filter = ((scale, scale),)
-            return self._filter
-        # |alpha| < 2^bits, so on an interval of width 2^-m around alpha,
-        # 2^FILTER_BITS alpha^i moves by less than
-        # 2^(FILTER_BITS + bitlen(degree) + bits (degree - 1) - m) = 1/2, and
-        # its floor and ceiling are at most 2 apart
-        bits = (math.ceil(max(abs(self._lo), abs(self._hi))) + 1).bit_length()
-        m = FILTER_BITS + 1 + self.degree.bit_length() + bits * (self.degree - 1)
+            self._filters[bits] = got = ((scale, scale),)
+            return got
+        # |alpha| < 2^size, so on an interval of width 2^-m around alpha,
+        # 2^bits alpha^i moves by less than
+        # 2^(bits + bitlen(degree) + size (degree - 1) - m) = 1/2, and its
+        # floor and ceiling are at most 2 apart
+        size = (math.ceil(max(abs(self._lo), abs(self._hi))) + 1).bit_length()
+        m = bits + 1 + self.degree.bit_length() + size * (self.degree - 1)
         den = math.lcm(*(c.denominator for c in self.minpoly))
         ints = [int(c * den) for c in reversed(self.minpoly)]
         positive_below = self._sign_at_lo > 0
@@ -347,19 +324,19 @@ class NumberField:
         # so every power is monotone on it
         bounds = [(scale, scale)]
         for i in range(1, self.degree):
-            a, b = sorted((lo ** i << FILTER_BITS, (lo + 1) ** i << FILTER_BITS))
+            a, b = sorted((lo ** i << bits, (lo + 1) ** i << bits))
             bounds.append((a >> (m * i), -(-b >> (m * i))))
-        self._filter = tuple(bounds)
-        return self._filter
+        self._filters[bits] = got = tuple(bounds)
+        return got
 
-    def enclosure(self, num) -> tuple[int, int]:
-        """Integers (lo, hi) with lo <= 2^FILTER_BITS * x <= hi for
+    def enclosure(self, num, bits: int = FILTER_BITS) -> tuple[int, int]:
+        """Integers (lo, hi) with lo <= 2^bits * x <= hi for
         x = sum num[i] * alpha^i, from the fixed-point bounds on alpha^i.
 
-        `num` holds at most `degree` ints.  This is the filter of `sign_of`;
-        callers that compare many values keep each value's enclosure
-        (`FieldElem.enclosure`) and compare enclosures."""
-        bounds = self._filter or self._filter_bounds()
+        `num` holds at most `degree` ints.  At FILTER_BITS this is the
+        filter of `sign_of`; callers that compare many values keep each
+        value's enclosure (`FieldElem.enclosure`) and compare enclosures."""
+        bounds = self._filters.get(bits) or self._filter_bounds(bits)
         lo = hi = 0
         for c, (l, u) in zip(num, bounds):
             if c > 0:
@@ -369,6 +346,21 @@ class NumberField:
                 lo += c * u
                 hi += c * l
         return lo, hi
+
+    def decide(self, num, den: int, test: Callable):
+        """The first answer other than None of test(lo, hi, bits), for the
+        integer enclosures lo <= 2^bits * x <= hi of
+        x = sum num[i] * alpha^i / den (den > 0), at FILTER_BITS, then at
+        twice as many bits each time.  The enclosures shrink to x, so this
+        ends for every test that answers on every enclosure near enough to
+        x."""
+        bits = FILTER_BITS
+        while True:
+            lo, hi = self.enclosure(num, bits)
+            got = test(lo // den, -(-hi // den), bits)
+            if got is not None:
+                return got
+            bits <<= 1
 
     def from_product(self, prod, den) -> "FieldElem":
         """The element sum prod[i] alpha^i / den, for an integer polynomial
@@ -389,25 +381,13 @@ class NumberField:
     def sign_of(self, num) -> int:
         """Sign of sum num[i] * alpha^i under the real embedding.
 
-        `num` holds at most `degree` ints.  The fixed-point enclosure decides
-        unless it contains 0; then the exact path does: the zero test, then
-        refinement.  Refinement ends for every nonzero element: a rational's
-        interval enclosure is its value, and an irrational's shrinks to its
-        value."""
-        lo, hi = self.enclosure(num)
-        if lo > 0:
-            return 1
-        if hi < 0:
-            return -1
+        `num` holds at most `degree` ints.  After the zero test the
+        enclosures decide (`decide`), the first at FILTER_BITS: a nonzero
+        element is irrational or has a point enclosure (its constant
+        numerator times 2^bits), and neither contains 0 for long."""
         if not any(num):
             return 0
-        while True:
-            lo, hi = self.interval_of(num)
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
-            self._refine()
+        return self.decide(num, 1, _sign)
 
     def __eq__(self, other):
         return (isinstance(other, NumberField)
@@ -477,6 +457,17 @@ def _canonical(field, num, den) -> "FieldElem":
     if g != 1:
         return FieldElem(field, tuple(c // g for c in num), den // g)
     return FieldElem(field, tuple(num), den)
+
+
+def _sign(lo: int, hi: int, bits: int):
+    """The sign an enclosure [lo, hi] fixes, or None (`NumberField.decide`)."""
+    return 1 if lo > 0 else -1 if hi < 0 else None
+
+
+def _floor(lo: int, hi: int, bits: int):
+    """The floor an enclosure [lo, hi] of 2^bits x fixes, or None."""
+    f = lo >> bits
+    return f if hi >> bits == f else None
 
 
 def _decimal_exponent(v: Fraction) -> int:
@@ -660,9 +651,9 @@ class FieldElem:
         # den > 0: the numerators have the element's sign
         return self.field.sign_of(self.num)
 
-    def enclosure(self) -> tuple[int, int]:
-        """Integers (lo, hi) with lo <= 2^FILTER_BITS * self <= hi."""
-        lo, hi = self.field.enclosure(self.num)
+    def enclosure(self, bits: int = FILTER_BITS) -> tuple[int, int]:
+        """Integers (lo, hi) with lo <= 2^bits * self <= hi."""
+        lo, hi = self.field.enclosure(self.num, bits)
         return lo // self.den, -(-hi // self.den)
 
     def __lt__(self, other):
@@ -687,50 +678,44 @@ class FieldElem:
     # -- approximation ---------------------------------------------------------
 
     def interval(self, width: Fraction) -> tuple[Fraction, Fraction]:
-        """Enclosure of this element with width at most `width`.  The
-        enclosure's width shrinks about as alpha's interval does, so an
-        enclosure 2^k times too wide is re-evaluated after k bisections."""
-        f = self.field
-        while True:
-            lo, hi = f.interval_of(self.num)
-            lo, hi = lo / self.den, hi / self.den
-            if hi - lo <= width:
-                return lo, hi
-            ratio = (hi - lo) / width
-            for _ in range(ratio.numerator.bit_length() - ratio.denominator.bit_length() + 1):
-                f._refine()
+        """Enclosure of this element with width at most `width` > 0: a
+        rational's value, an irrational's first enclosure that narrow
+        (`NumberField.decide`)."""
+        if self.is_rational():
+            v = Fraction(self.num[0], self.den)
+            return v, v
+
+        def narrow(lo, hi, bits):
+            if hi - lo <= width * (1 << bits):
+                return Fraction(lo, 1 << bits), Fraction(hi, 1 << bits)
+            return None
+
+        return self.field.decide(self.num, self.den, narrow)
 
     def approx(self, digits: int) -> str:
         """Decimal string of the value rounded half up at `digits`
-        significant digits.  Rounding is monotone, so an enclosure whose two
-        ends have the same decimal exponent and the same rounding fixes
-        both for the value.  The fixed-point enclosure decides unless its
-        ends round differently; then the interval enclosure is refined until
-        they agree.  An irrational value is neither a power of 10 nor a
-        rounding tie, and a rational one has a point interval enclosure, so
-        refinement ends."""
+        significant digits.  A rational is rounded from its value.  Rounding
+        is monotone, so for an irrational the first enclosure whose two ends
+        have the same decimal exponent and the same rounding fixes both; an
+        irrational value is neither a power of 10 nor a rounding tie."""
         if digits < 1:
             raise ValueError("digits must be >= 1")
         if self.is_zero():
             return "0." + "0" * (digits - 1) if digits > 1 else "0"
-        lo, hi = self.enclosure()
-        neg = hi < 0
-        got = None
-        if lo > 0 or neg:
-            lo, hi = (-hi, -lo) if neg else (lo, hi)
-            got = _rounded(Fraction(lo, 1 << FILTER_BITS), Fraction(hi, 1 << FILTER_BITS),
-                           digits)
-        if got is None:
-            neg = self.sign() < 0
-            f = self.field
-            while True:
-                lo, hi = f.interval_of(self.num)
-                lo, hi = (-hi / self.den, -lo / self.den) if neg else (lo / self.den, hi / self.den)
-                got = _rounded(lo, hi, digits) if lo > 0 else None
-                if got is not None:
-                    break
-                f._refine()
-        q, decimals = got
+        if self.is_rational():
+            v = Fraction(self.num[0], self.den)
+            neg, (q, decimals) = v < 0, _rounded(abs(v), abs(v), digits)
+        else:
+            def rounded(lo, hi, bits):
+                neg = hi < 0
+                if neg:
+                    lo, hi = -hi, -lo
+                if lo <= 0:
+                    return None
+                got = _rounded(Fraction(lo, 1 << bits), Fraction(hi, 1 << bits), digits)
+                return got and (neg, got)
+
+            neg, (q, decimals) = self.field.decide(self.num, self.den, rounded)
         if decimals > 0:
             text = str(q).rjust(decimals + 1, "0")
             out = text[:-decimals] + "." + text[-decimals:]
@@ -739,38 +724,26 @@ class FieldElem:
         return ("-" if neg else "") + out
 
     def __float__(self):
-        """The value correctly rounded to a double.  The interval enclosure
-        is refined until both ends round to the same double; an irrational
-        value is no rounding tie, so refinement ends."""
+        """The value correctly rounded to a double: a rational's from its
+        value, an irrational's from the first enclosure whose two ends round
+        to the same double (an irrational value is no rounding tie)."""
         if self.is_rational():
             return float(Fraction(self.num[0], self.den))
-        f = self.field
-        while True:
-            lo, hi = f.interval_of(self.num)
-            lo = float(lo / self.den)
-            if lo == float(hi / self.den):
-                return lo
-            f._refine()
+
+        def rounded(lo, hi, bits):
+            # int / int rounds correctly
+            x = lo / (1 << bits)
+            return x if x == hi / (1 << bits) else None
+
+        return self.field.decide(self.num, self.den, rounded)
 
     def floor(self) -> int:
-        """Exact integer floor under the real embedding.  The fixed-point
-        enclosure decides unless an integer lies inside it; then the interval
-        enclosure is refined until it lies between two integers."""
+        """Exact integer floor under the real embedding: a rational's from
+        its numerator and den, an irrational's from the first enclosure that
+        holds no integer."""
         if self.is_rational():
             return self.num[0] // self.den
-        lo, hi = self.enclosure()
-        if lo >> FILTER_BITS == hi >> FILTER_BITS:
-            return lo >> FILTER_BITS
-        # an element with an irrational coefficient vector is irrational, so
-        # the enclosure eventually separates from every integer
-        width = Fraction(1, 4)
-        while True:
-            lo, hi = self.interval(width)
-            flo = lo.numerator // lo.denominator
-            fhi = hi.numerator // hi.denominator
-            if flo == fhi:
-                return flo
-            width /= 16
+        return self.field.decide(self.num, self.den, _floor)
 
     def __repr__(self):
         if self.is_rational():

@@ -114,10 +114,6 @@ class Poly:
             scale = -scale
         return self * scale
 
-    def monic(self):
-        _, lead = self.leading()
-        return self * (Fraction(1) / lead)
-
     def evaluate(self, values):
         """Evaluate at values[i] (any ring with +, *, and int powers)."""
         acc = None

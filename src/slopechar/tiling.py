@@ -66,26 +66,21 @@ def _cleared(e, den):
     return tuple(c * scale for c in e.num)
 
 
-# a bound enclosed more than 2^_WIDE_BOUND_BITS times as widely as all its
-# slab's columns together is enclosed again from its value
-_WIDE_BOUND_BITS = 8
-
-
-def _bound_enclosure(bound, common, wide):
+def _bound_enclosure(bound, common):
     """(num, l, u): the numerators of a slab bound over `common`, and
-    integers l <= 2^FILTER_BITS common bound <= u.  The enclosure of the
+    integers l <= 2^FILTER_BITS common bound <= u.  An enclosure of the
     numerators is as wide as their size, not as the bound's value: an offset
     with large cancelling coefficients makes it wider than the enclosure of
-    any walk point's slab value.  Where it is wider than `wide`, the bound
-    is enclosed once from its interval enclosure refined to width
-    2^-FILTER_BITS / common."""
+    any walk point's slab value.  So they are enclosed with as many more bits
+    as their absolute sum has, rounded up to a multiple of FILTER_BITS so
+    that a field builds few precisions, and shifted back: l and u are at
+    most 3 apart."""
     num = _cleared(bound, common)
-    lo, hi = bound.field.enclosure(num)
-    if hi - lo > wide:
-        scale = common << FILTER_BITS
-        a, b = bound.interval(Fraction(1, scale))
-        lo, hi = math.floor(a * scale), math.ceil(b * scale)
-    return num, lo, hi
+    extra = sum(map(abs, num)).bit_length()
+    bits = -(-(FILTER_BITS + extra) // FILTER_BITS) * FILTER_BITS
+    lo, hi = bound.field.enclosure(num, bits)
+    shift = bits - FILTER_BITS
+    return num, lo >> shift, -(-hi >> shift)
 
 
 class LatticeMembership:
@@ -122,9 +117,8 @@ class LatticeMembership:
             encs = [field.enclosure(col) for col in zip(*cols)]
             mid = tuple(l + u for l, u in encs)
             rad = tuple(u - l for l, u in encs)
-            wide = sum(rad) << _WIDE_BOUND_BITS
-            lo, lo_l, lo_u = _bound_enclosure(lo, common, wide)
-            hi, hi_l, hi_u = _bound_enclosure(hi, common, wide)
+            lo, lo_l, lo_u = _bound_enclosure(lo, common)
+            hi, hi_l, hi_u = _bound_enclosure(hi, common)
             self.tests.append((cols, lo, hi, mid, rad,
                                2 * lo_l, 2 * lo_u, 2 * hi_l, 2 * hi_u))
         self.cache = {}

@@ -3,8 +3,25 @@ import os
 import pytest
 
 from slopechar import specfile
+from slopechar.numfield import FILTER_BITS, NumberField
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+
+
+def spy_past_filter(monkeypatch):
+    """A list that collects the numerators of every enclosure a field
+    computes at more than FILTER_BITS from now on: the exact fallback of a
+    decision that the first enclosure left open (`NumberField.decide`)."""
+    calls = []
+    enclosure = NumberField.enclosure
+
+    def spy(field, num, bits=FILTER_BITS):
+        if bits > FILTER_BITS:
+            calls.append(num)
+        return enclosure(field, num, bits)
+
+    monkeypatch.setattr(NumberField, "enclosure", spy)
+    return calls
 
 
 def load(name):

@@ -44,6 +44,18 @@ def test_info(tmp_path):
     assert set(doc["grassmann"]) == {"G12", "G13", "G14", "G23", "G24", "G34"}
 
 
+@pytest.mark.parametrize("spec, digest", [
+    (TYPICAL, "3042ff163d950766d8a005219a0734ad8df35d6d64dac996793a5ae64785cb2e"),
+    (AB, "dd326458ebf7db6a2af508653ac89fb0927ab2bd97bab65d1421cb8629003181"),
+    (PENROSE, "10bffbadd2d930c8b751b92eb799143b67b0a7d861b94fde6b4440fd91e56fc7"),
+], ids=["typical", "ammann_beenker", "penrose"])
+def test_info_golden(tmp_path, spec, digest):
+    # the decimal roundings of alpha and of every Grassmann coordinate as the
+    # refinement of alpha's Fraction isolating interval gave them
+    _, text = _run_json(["info", spec], tmp_path, "info")
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_info_stdout(capsys):
     assert cli.main(["info", TYPICAL]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -32,7 +32,7 @@ def test_window_contains_center_and_far_point(typical, ab, penrose):
 
 def test_window_vertices_on_boundary(ab):
     w = window(ab)
-    poly = w.as_hpolytope()
+    poly = HPolytope(w.halfspaces(), w.dim)
     verts = poly.vertices()
     # Ammann-Beenker window is a regular octagon
     assert len(verts) == 8
@@ -65,7 +65,7 @@ def _window_polygon_matches_vertex_enumeration(w):
     # gives, each once, counter-clockwise with a left turn at every vertex
     poly = _window_polygon(w)
     key = lambda p: tuple(getattr(c, "coeffs", c) for c in p)
-    assert sorted(map(key, poly)) == sorted(map(key, w.as_hpolytope().vertices()))
+    assert sorted(map(key, poly)) == sorted(map(key, HPolytope(w.halfspaces(), w.dim).vertices()))
     assert len(set(map(key, poly))) == len(poly)
     for a, b, c in zip(poly, poly[1:] + poly[:1], poly[2:] + poly[:2]):
         assert _sgn((b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0])) > 0

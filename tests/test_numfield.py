@@ -8,6 +8,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import spy_past_filter
+from interval_oracle import IntervalOracle
 from slopechar import numfield
 from slopechar.errors import InputError
 from slopechar.numfield import (FieldElem, NumberField, count_real_roots,
@@ -138,17 +140,9 @@ FIELDS = {"quadratic": sqrt2, "cubic": cubic, "half": half, "half_cubic": half_c
 
 
 def _reference_sign(name, coeffs):
-    """Sign by interval refinement alone, on a field of its own."""
-    if all(c == 0 for c in coeffs):
-        return 0
-    ref = FIELDS[name]()
-    while True:
-        lo, hi = ref.interval_of(coeffs)
-        if lo > 0:
-            return 1
-        if hi < 0:
-            return -1
-        ref._refine()
+    """Sign by refinement of a Fraction isolating interval alone, on an
+    interval of its own (`interval_oracle`)."""
+    return IntervalOracle(FIELDS[name]()).sign(coeffs)
 
 
 def _convergents(field, max_q):
@@ -208,12 +202,10 @@ def test_filter_defers_near_zero_elements_to_the_exact_path(monkeypatch):
             for sg in (1, -1):
                 coeffs = (sg * p, -sg * q) + (0,) * (degree - 2)
                 cases.append((name, coeffs, _reference_sign(name, coeffs)))
-    steps = []
-    refine = NumberField._refine
-    monkeypatch.setattr(NumberField, "_refine", lambda f: steps.append(f) or refine(f))
+    steps = spy_past_filter(monkeypatch)
     refined = 0
     for name, coeffs, expected in cases:
-        # a fresh field per element: no earlier element has refined alpha
+        # a fresh field per element: no enclosure past FILTER_BITS is cached
         f = FIELDS[name]()
         steps.clear()
         assert f.sign_of(coeffs) == expected
@@ -269,20 +261,23 @@ MP_ALPHA = {name: _mp_alpha(name) for name in FIELDS}
 
 
 @settings(max_examples=300, deadline=None)
-@given(_elements())
-def test_enclosure_contains_the_scaled_value(elem):
+@given(_elements(), st.sampled_from([1, 2, 4]))
+def test_enclosure_contains_the_scaled_value(elem, times):
     name, coeffs = elem
     f = FIELDS[name]()
-    lo, hi = f.elem(coeffs).enclosure()
+    bits = numfield.FILTER_BITS * times
+    lo, hi = f.elem(coeffs).enclosure(bits)
     assert type(lo) is int and type(hi) is int and lo <= hi
-    with mpmath.workdps(MP_DIGITS):
-        alpha = MP_ALPHA[name]
+    if times == 1:
+        assert (lo, hi) == f.elem(coeffs).enclosure()
+    with mpmath.workdps(APPROX_DPS):
+        alpha = APPROX_ALPHA[name]
         terms = [mpmath.mpf(c.numerator) / c.denominator * alpha ** i
                  for i, c in enumerate(coeffs)]
-        scaled = mpmath.fsum(terms) * 2 ** numfield.FILTER_BITS
-        # rounding of the 60-digit evaluation, relative to its largest term
-        slack = (sum(abs(t) for t in terms) * 2 ** numfield.FILTER_BITS
-                 * mpmath.mpf(10) ** (10 - MP_DIGITS))
+        scaled = mpmath.fsum(terms) * 2 ** bits
+        # rounding of the 150-digit evaluation, relative to its largest term
+        slack = (sum(abs(t) for t in terms) * 2 ** bits
+                 * mpmath.mpf(10) ** (10 - APPROX_DPS))
         assert lo - slack <= scaled <= hi + slack
     # an enclosure that excludes 0 gives the sign that refinement gives
     if lo > 0 or hi < 0:
@@ -290,15 +285,17 @@ def test_enclosure_contains_the_scaled_value(elem):
 
 
 def test_sign_of_is_the_sign_of_its_enclosure(monkeypatch):
-    # sign_of's filter is the enclosure: swapping in a wider enclosure makes
-    # every sign take the exact path, with the same results
+    # sign_of's filter is the enclosure: swapping in a wider enclosure at
+    # FILTER_BITS makes every sign take the exact path, with the same results
     rng = random.Random(11)
     for name, make in FIELDS.items():
         f = make()
         cases = [f.elem([F(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 3))
                          for _ in range(f.degree)]).num for _ in range(200)]
         filtered = [f.sign_of(c) for c in cases]
-        monkeypatch.setattr(f, "enclosure", lambda coeffs: (-1, 1))
+        enclosure = f.enclosure
+        monkeypatch.setattr(f, "enclosure", lambda num, bits=numfield.FILTER_BITS:
+                            (-1, 1) if bits == numfield.FILTER_BITS else enclosure(num, bits))
         assert [f.sign_of(c) for c in cases] == filtered
         assert filtered == [_reference_sign(name, c) for c in cases]
         monkeypatch.undo()
@@ -376,23 +373,23 @@ def test_approx_from_the_enclosure_matches_mpmath(elem, digits):
 
 
 def test_approx_near_a_rounding_tie_refines_the_interval(monkeypatch):
-    """Within 2^-FILTER_BITS of a rounding tie, or at one, the enclosure's
-    ends round differently, and the rounding comes from interval refinement
-    (a point interval for the rational tie, rounded half up); farther away
-    the enclosure decides alone."""
+    """Within 2^-FILTER_BITS of a rounding tie the enclosure's ends round
+    differently, and the rounding comes from an enclosure at more bits; the
+    rational tie itself never separates and is rounded half up from its
+    value; farther away the enclosure at FILTER_BITS decides alone."""
     f = sqrt2()
     tiny = (f.alpha - 1) ** 80  # about 2.4e-31, below 2^-96
     tie = F("1.234565")
-    calls = []
-    interval_of = NumberField.interval_of
-    monkeypatch.setattr(NumberField, "interval_of",
-                        lambda self, num: calls.append(num) or interval_of(self, num))
+    calls = spy_past_filter(monkeypatch)
     for x, text in ((tie + tiny, "1.23457"), (tie - tiny, "1.23456"),
-                    (-(tie + tiny), "-1.23457"), (tiny - tie, "-1.23456"),
-                    (f.from_rational(tie), "1.23457")):
+                    (-(tie + tiny), "-1.23457"), (tiny - tie, "-1.23456")):
         calls.clear()
         assert x.approx(6) == text
         assert calls
+    calls.clear()
+    for x, text in ((f.from_rational(tie), "1.23457"), (f.from_rational(-tie), "-1.23457")):
+        assert x.approx(6) == text
+    assert not calls
     with mpmath.workdps(APPROX_DPS):
         for x in (f.alpha, -f.alpha, f.alpha * 10 ** 20, (f.alpha - 1) ** 20,
                   -(f.alpha + 1) ** 20, tie + f.alpha / 10 ** 4):
@@ -440,25 +437,28 @@ def neg_sqrt2():
 @pytest.mark.parametrize("make", [sqrt2, half, neg_sqrt2, cubic, half_cubic],
                          ids=["sqrt2", "half", "neg_sqrt2", "cubic", "half_cubic"])
 def test_filter_bounds_enclose_the_scaled_powers(make):
-    """L_i <= 2^FILTER_BITS alpha^i <= U_i and U_i - L_i <= 2, against mpmath at
-    60 digits: from the given isolating interval, and from the interval
-    refined step by step to below the set-up's dyadic step, where the
+    """L_i <= 2^bits alpha^i <= U_i and U_i - L_i <= 2 at FILTER_BITS and at
+    2 and 4 times as many bits, against mpmath at 200 digits: for the field
+    built on the given isolating interval, and on that interval refined by
+    the oracle step by step to below the set-up's dyadic step, where the
     interval's ends decide most bisection steps."""
     f = make()
+    oracle = IntervalOracle(f)
     lo, hi = (mpmath.mpf(x.numerator) / x.denominator for x in f.root_interval)
-    with mpmath.workdps(MP_DIGITS):
+    with mpmath.workdps(200):
         roots = mpmath.polyroots([mpmath.mpf(c.numerator) / c.denominator
-                                  for c in reversed(f.minpoly)], extraprec=200)
+                                  for c in reversed(f.minpoly)], extraprec=800)
         alpha = next(x.real for x in roots
-                     if abs(x.imag) < mpmath.mpf(10) ** -MP_DIGITS and lo <= x.real <= hi)
-        scaled = [alpha ** i * 2 ** numfield.FILTER_BITS for i in range(f.degree)]
-        for _ in range(160):
-            bounds = f._filter_bounds()
-            assert len(bounds) == f.degree
-            for (low, up), x in zip(bounds, scaled):
-                assert type(low) is int and type(up) is int
-                assert low <= x <= up and up - low <= 2
-            f._refine()
+                     if abs(x.imag) < mpmath.mpf(10) ** -150 and lo <= x.real <= hi)
+        for step in range(160):
+            g = NumberField(f.minpoly, oracle.root_interval)
+            for bits in [numfield.FILTER_BITS << k for k in range(3 if step % 8 == 0 else 1)]:
+                bounds = g._filter_bounds(bits)
+                assert len(bounds) == f.degree
+                for i, (low, up) in enumerate(bounds):
+                    assert type(low) is int and type(up) is int
+                    assert low <= alpha ** i * 2 ** bits <= up and up - low <= 2
+            oracle._refine()
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -471,15 +471,12 @@ def test_floor_matches_mpmath(elem, shift):
 
 
 def test_floor_near_an_integer_refines_the_interval(monkeypatch):
-    """Near an integer (here within 2^-FILTER_BITS of it) the enclosure holds
-    the integer, and the floor comes from interval refinement; farther away
-    the enclosure decides alone."""
+    """Near an integer (here within 2^-FILTER_BITS of it) the enclosure at
+    FILTER_BITS holds the integer, and the floor comes from an enclosure at
+    more bits; farther away the enclosure at FILTER_BITS decides alone."""
     f = sqrt2()
     tiny = (f.alpha - 1) ** 80  # about 2.4e-31, below 2^-96
-    calls = []
-    interval = FieldElem.interval
-    monkeypatch.setattr(FieldElem, "interval",
-                        lambda self, width: calls.append(width) or interval(self, width))
+    calls = spy_past_filter(monkeypatch)
     for x, expected in ((3 + tiny, 3), (-(3 + tiny), -4), (3 - tiny, 2), (tiny - 3, -3)):
         calls.clear()
         assert x.floor() == expected
@@ -490,6 +487,21 @@ def test_floor_near_an_integer_refines_the_interval(monkeypatch):
             calls.clear()
             assert x.floor() == int(mpmath.floor(_mp_value("quadratic", x.coeffs)))
             assert not calls
+
+
+def test_results_do_not_depend_on_earlier_calls():
+    """A sign that needs many more bits than FILTER_BITS changes nothing that
+    later decisions on the same field read."""
+    f = sqrt2()
+    x = 3 * f.alpha + 1
+
+    def results():
+        return x.interval(F(1, 100)), x.floor(), x.approx(6), float(x)
+
+    before = results()
+    assert ((f.alpha - 1) ** 80).sign() == 1
+    assert results() == before
+    assert before[0][1] - before[0][0] <= F(1, 100)
 
 
 # -- integer numerators over one denominator, against sympy ------------------

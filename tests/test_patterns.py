@@ -6,8 +6,8 @@ import pytest
 
 import arrangement_oracle
 from slopechar import patterns
-from slopechar.geometry import (BOUNDARY, INSIDE, OUTSIDE, _sgn, eprime_basis,
-                                window)
+from slopechar.geometry import (BOUNDARY, INSIDE, OUTSIDE, HPolytope, _sgn,
+                                eprime_basis, window)
 from slopechar.linalg import Matrix, dot, rank
 from slopechar.patterns import (LiftedPattern, SingularPoint,
                                 cyclic_rotation_group, edge_between,
@@ -50,7 +50,8 @@ def test_r_pattern_nesting(ab):
 
 
 def test_r_pattern_singular_point(ab):
-    poly = window(ab).as_hpolytope()
+    w = window(ab)
+    poly = HPolytope(w.halfspaces(), w.dim)
     v = poly.vertices()[0]  # boundary point
     with pytest.raises(SingularPoint):
         r_pattern_at(ab, v, 0)
@@ -62,7 +63,7 @@ def test_r_pattern_walk_point_on_translated_boundary(ab):
     # path of sign_of reports
     w, b = window(ab), eprime_basis(ab)
     cases = 0
-    for v in w.as_hpolytope().vertices():
+    for v in HPolytope(w.halfspaces(), w.dim).vertices():
         assert w.contains(v) == BOUNDARY
         for j in range(ab.n):
             for sg in (1, -1):

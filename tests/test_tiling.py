@@ -10,12 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import digitize_oracle
-from slopechar import patterns, specfile, tiling
+from conftest import spy_past_filter
+from interval_oracle import IntervalOracle
+from slopechar import specfile, tiling
 from slopechar.errors import InputError
 from slopechar.geometry import (BOUNDARY, INSIDE, complementary_zonotope,
                                 eprime_basis, window)
 from slopechar.linalg import Matrix, dot, kernel_int
-from slopechar.numfield import FieldElem, NumberField
+from slopechar.numfield import FILTER_BITS
 from slopechar.slope import Slope
 from slopechar.specfile import spec_offset
 from slopechar.tiling import (Face, LatticeMembership, SingularOffset,
@@ -248,10 +250,7 @@ def test_exact_fallback_decides_a_point_just_inside_a_bound(ab, monkeypatch):
     x = (1, -2, 0, 3)
     offset = _offset_near_a_bound(ab, x, -eps)
     member = LatticeMembership(w, b, offset)
-    calls = []
-    interval_of = NumberField.interval_of
-    monkeypatch.setattr(NumberField, "interval_of",
-                        lambda f, num: calls.append(num) or interval_of(f, num))
+    calls = spy_past_filter(monkeypatch)
     assert member.status(x) == 1
     assert calls
     monkeypatch.undo()
@@ -420,8 +419,8 @@ def test_walk_falls_back_to_the_exact_test_next_to_a_bound(ab, monkeypatch):
     # from its stepped sums only through the exact test
     eps = (ab.field.alpha - 1) ** 80
     x = (1, -2, 0, 3)
-    interval_of, decide = NumberField.interval_of, LatticeMembership.decide
-    calls, at_x = [], []
+    decide = LatticeMembership.decide
+    at_x = []
 
     def spy_decide(member, y, m, r):
         before = len(calls)
@@ -432,10 +431,8 @@ def test_walk_falls_back_to_the_exact_test_next_to_a_bound(ab, monkeypatch):
 
     for sign, want in ((-1, 1), (1, -1)):
         offset = _offset_near_a_bound(ab, x, sign * eps)
-        calls.clear()
         at_x.clear()
-        monkeypatch.setattr(NumberField, "interval_of",
-                            lambda f, num: calls.append(num) or interval_of(f, num))
+        calls = spy_past_filter(monkeypatch)
         monkeypatch.setattr(LatticeMembership, "decide", spy_decide)
         patch = digitize(ab, offset=offset, radius=F(4))
         monkeypatch.undo()
@@ -446,24 +443,22 @@ def test_walk_falls_back_to_the_exact_test_next_to_a_bound(ab, monkeypatch):
 
 def test_bounds_with_cancelling_coefficients_keep_the_filter(ab, monkeypatch):
     # the offset's coefficients have 103-105 bits and cancel to a value of
-    # size 1: enclosed from those coefficients every bound was about 2^105
-    # wide, and every walk point took the exact path (6,664 interval_of
-    # calls).  Each bound is now enclosed once from its refined interval (10
-    # calls for 8 bounds), the exact path runs, with about one call each,
-    # only for the 55 walk points that lie on the two lines (sqrt 2 - 1)^80
-    # inside the first slab's bounds, which no enclosure separates from
-    # them, and the seed search and the radius cut take a few floats: 72
-    # calls in a fresh process, fewer once the field's interval is refined
+    # size 1: enclosed from those coefficients at FILTER_BITS every bound was
+    # about 2^105 wide, and every walk point took the exact path (6,664
+    # exact-path calls).  Each bound is now enclosed once at 288 bits, the
+    # exact path runs only for the 55 walk points that lie on the two lines
+    # (sqrt 2 - 1)^80 inside the first slab's bounds, which no enclosure at
+    # FILTER_BITS separates from them, and 4 floats of the seed search and
+    # the radius cut need more bits: 67 decisions past the filter.  Each
+    # encloses one numerator vector at growing precision (122 enclosures)
     eps = (ab.field.alpha - 1) ** 80
     offset = _offset_near_a_bound(ab, (1, -2, 0, 3), -eps)
     assert max(abs(c) for x in offset for c in x.num).bit_length() > 100
-    calls = []
-    interval_of = NumberField.interval_of
-    monkeypatch.setattr(NumberField, "interval_of",
-                        lambda f, num: calls.append(num) or interval_of(f, num))
+    calls = spy_past_filter(monkeypatch)
     patch = digitize(ab, offset=offset, radius=F(4))
     monkeypatch.undo()
-    assert 0 < len(calls) <= 80
+    decisions = sum(i == 0 or num is not calls[i - 1] for i, num in enumerate(calls))
+    assert 0 < decisions <= 80
     assert patch.faces == digitize_oracle.digitize_faces(ab, offset, F(4))
     # every point the walk tested, inside the window or not, has the status
     # that FieldElem arithmetic gives
@@ -473,22 +468,32 @@ def test_bounds_with_cancelling_coefficients_keep_the_filter(ab, monkeypatch):
         assert _reference_status(w, b, offset, x) == status
 
 
-def test_bounds_of_drawn_offsets_are_not_tightened(typical, ab, penrose, monkeypatch):
-    # drawn, integral-sum and sampled-atlas offsets have bounds whose
-    # enclosures are at most a few times as wide as their columns': the
-    # tightening never runs there
-    cases = []
+def test_bound_enclosures_hold_their_bounds_narrowly(typical, ab, penrose):
+    # each slab bound is enclosed at FILTER_BITS plus the size of its
+    # numerators and shifted back to FILTER_BITS: l <= 2^FILTER_BITS common
+    # bound <= u with u - l <= 3 however large the numerators, against the
+    # interval oracle; for the cancelling offset the enclosure at FILTER_BITS
+    # alone is more than 2^100 wide
+    eps = (ab.field.alpha - 1) ** 80
+    cases = [(ab, _offset_near_a_bound(ab, (1, -2, 0, 3), -eps))]
     for s in (typical, ab, penrose):
         cases += [(s, draw_offset(s, f"{seed}:0")) for seed in range(8)]
     cases.append((penrose, integral_sum_offset(penrose)))
-    tightened = []
-    interval = FieldElem.interval
-    monkeypatch.setattr(FieldElem, "interval",
-                        lambda x, width: tightened.append(x) or interval(x, width))
+    widest = 0
     for s, offset in cases:
-        LatticeMembership(window(s), eprime_basis(s), offset)
-    patterns.enumerate_r_patterns(penrose, 0, samples=20, seed=5)
-    assert tightened == []
+        oracle = IntervalOracle(s.field)
+        member = LatticeMembership(window(s), eprime_basis(s), offset)
+        for _, lo, hi, _, _, lo_l, lo_u, hi_l, hi_u in member.tests:
+            for num, l, u in ((lo, lo_l, lo_u), (hi, hi_l, hi_u)):
+                # the tests keep twice the enclosure
+                l, u = l // 2, u // 2
+                assert u - l <= 3
+                scaled = [c << FILTER_BITS for c in num]
+                assert oracle.sign([scaled[0] - l] + scaled[1:]) >= 0
+                assert oracle.sign([scaled[0] - u] + scaled[1:]) <= 0
+                f_lo, f_hi = s.field.enclosure(num)
+                widest = max(widest, f_hi - f_lo)
+    assert widest > 2 ** 100
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
