@@ -77,9 +77,7 @@ class _Ring:
 
     def primitive(self, p: Poly):
         """p's terms as coprime integers, the leading one positive."""
-        den = math.lcm(*(c.denominator for c in p.terms.values()))
-        return _primitive({self.pack(m): c.numerator * (den // c.denominator)
-                           for m, c in p.terms.items()})
+        return {self.pack(m): c for m, c in p.content_normalized().terms.items()}
 
     def poly(self, terms, den=1):
         """The Poly of terms / den, terms in descending order."""
@@ -182,12 +180,9 @@ def plucker_polys(n, d):
             mono[i1] += 1
             mono[i2] += 1
             mono = tuple(mono)
-            c = Fraction(s1 * s2 * (1 if l % 2 == 0 else -1))
-            terms[mono] = terms.get(mono, Fraction(0)) + c
-        p = Poly(nvars, terms)
-        if p:
-            out.append(p)
-    return list(dict.fromkeys(p.content_normalized() for p in out))
+            terms[mono] = terms.get(mono, 0) + s1 * s2 * (1 if l % 2 == 0 else -1)
+        out.append(Poly.from_terms(nvars, {m: c for m, c in terms.items() if c}))
+    return list(dict.fromkeys(p.content_normalized() for p in out if p))
 
 
 def span_reduce(polys):

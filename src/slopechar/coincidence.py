@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, product
 from math import prod
 from operator import mul
@@ -152,12 +151,13 @@ def _check_shape(s: Slope, t: CoincidenceType):
 
 
 def integer_constraints(s: Slope, t: CoincidenceType) -> Matrix:
-    """k x #a rational matrix whose vanishing is det(M) = 0 for all powers of alpha.
+    """k x #a integer matrix whose vanishing is det(M) = 0 for all powers of alpha.
 
     det(M(v)) = sum_r c0(v)_r * C_r for the column-0 cofactors C_r, the
     Laplace forms' coefficients at the slope's Grassmann coordinates.  C
     spans the left kernel of the fixed part N = (A | diag U) when N has full
-    column rank, and is zero otherwise.
+    column rank, and is zero otherwise.  Row t holds the alpha^t numerators
+    of C / (last nonzero C_r) over one common denominator.
     """
     _check_shape(s, t)
     col0, _, data = _expansion_data(t)
@@ -169,18 +169,20 @@ def integer_constraints(s: Slope, t: CoincidenceType) -> Matrix:
         for r, c in form:
             cofs[r] = cofs[r] + gm * c
     k = s.field.degree
-    rows = [[Fraction(0)] * t.num_a for _ in range(k)]
+    rows = [[0] * t.num_a for _ in range(k)]
     last = next((c for c in reversed(cofs) if not c.is_zero()), None)
     if last is None:
         # the fixed columns are already dependent: det(M) vanishes identically
         return Matrix(rows)
     # scaled to 1 at its last nonzero entry, the column rref leaves free
     inv = last.inverse()
-    for coeffs, c in zip(col0, cofs):
-        m = c * inv
+    scaled = [c * inv for c in cofs]
+    den = math.lcm(*(m.den for m in scaled))
+    for coeffs, m in zip(col0, scaled):
+        f = den // m.den
         for ai, sign in coeffs.items():
             for tdeg in range(k):
-                rows[tdeg][ai] += Fraction(sign * m.num[tdeg], m.den)
+                rows[tdeg][ai] += sign * f * m.num[tdeg]
     return Matrix(rows)
 
 
@@ -392,11 +394,9 @@ def equation_of(s: Slope, t: CoincidenceType, v):
     _check_shape(s, t)
     col0, nvars, data = _expansion_data(t)
     c0 = _column0(col0, v)
-    poly = Poly(nvars, {mono: sum(cof * c0[r] for r, cof in form)
-                        for mono, form in data})
-    if poly.is_zero():
-        return TrivialEquation()
-    return CoincidenceEquation(poly, t, tuple(v))
+    poly = Poly.from_terms(nvars, {mono: c for mono, form in data
+                                   if (c := sum(cof * c0[r] for r, cof in form))})
+    return CoincidenceEquation(poly, t, tuple(v)) if poly else TrivialEquation()
 
 
 def all_equations(s: Slope):

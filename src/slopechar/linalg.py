@@ -3,9 +3,9 @@
 Matrices are small and dense (list of row tuples); entries are Fractions or
 FieldElems, never floats.  Determinants, kernels and solving use exact
 elimination with the first nonzero pivot scanning top to bottom.  Lattice
-work stays over Z: HNF, integer kernels, and LLL (delta = 3/4) in its
-integral form, which tracks Gram-Schmidt data as integers and never builds
-a rational Gram-Schmidt basis.
+work takes int matrices and stays over Z: HNF, integer kernels, and LLL
+(delta = 3/4) in its integral form, which tracks Gram-Schmidt data as
+integers and never builds a rational Gram-Schmidt basis.
 """
 
 from __future__ import annotations
@@ -273,17 +273,10 @@ def rref_int(rows, ncols):
 
 
 def kernel_int(m: Matrix):
-    """Z-basis of {x in Z^ncols : M x = 0} for a rational matrix (saturated)."""
-    from math import lcm
-
+    """Z-basis of {x in Z^ncols : M x = 0} for an integer matrix (saturated).
+    Rational rows take the quotients of any positive multiple of them."""
     nr, nc = m.nrows, m.ncols
-    rows = []
-    for r in m.rows:
-        den = 1
-        for x in r:
-            den = lcm(den, Fraction(x).denominator)
-        rows.append([int(Fraction(x) * den) for x in r])
-    cols = [[rows[i][j] for i in range(nr)] for j in range(nc)]
+    cols = [[m.rows[i][j] for i in range(nr)] for j in range(nc)]
     trans = [[1 if i == j else 0 for i in range(nc)] for j in range(nc)]
     active = list(range(nc))
     for r in range(nr):

@@ -1,16 +1,17 @@
 """Multivariate polynomials over Q with graded reverse lexicographic order.
 
-A polynomial is a dict {exponent tuple: Fraction}; the variable names live
-beside the data (typically Grassmann symbols "G12", "G134", ...).  Kept
-minimal: arithmetic, evaluation, fixing variables to rationals, and the
-grevlex order.  Groebner bases are computed in `charcheck`, on packed
-integer monomials with integer coefficients.
+A polynomial is a dict {exponent tuple: int or Fraction}; integer
+polynomials keep int coefficients, and `content_normalized` returns ints.
+The variable names live beside the data (typically Grassmann symbols "G12",
+"G134", ...).  Kept minimal: arithmetic, evaluation, fixing variables to
+rationals, and the grevlex order.  Groebner bases are computed in
+`charcheck`, on packed integer monomials with integer coefficients.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def grevlex_key(mono):
@@ -19,7 +20,7 @@ def grevlex_key(mono):
 
 
 class Poly:
-    """Immutable rational-coefficient polynomial in a fixed variable count."""
+    """Immutable polynomial in a fixed variable count, coefficients int or Fraction."""
 
     __slots__ = ("terms", "nvars")
 
@@ -35,7 +36,7 @@ class Poly:
 
     @classmethod
     def from_terms(cls, nvars, terms):
-        """The Poly of `terms`, a dict of exponent tuples to nonzero
+        """The Poly of `terms`, a dict of exponent tuples to nonzero ints or
         Fractions, taken as it is."""
         p = cls.__new__(cls)
         p.nvars = nvars
@@ -99,20 +100,16 @@ class Poly:
         return max((sum(m) for m in self.terms), default=-1)
 
     def content_normalized(self):
-        """Scale so coefficients are coprime integers, leading one positive."""
+        """The positive multiple with coprime int coefficients, leading one
+        positive, in the same term order."""
         if not self.terms:
             return self
-        den = 1
-        for c in self.terms.values():
-            den = den * c.denominator // gcd(den, c.denominator)
-        num = 0
-        for c in self.terms.values():
-            num = gcd(num, abs(c.numerator * (den // c.denominator)))
-        scale = Fraction(den, num)
-        _, lead = self.leading()
-        if lead < 0:
-            scale = -scale
-        return self * scale
+        den = lcm(*(c.denominator for c in self.terms.values()))
+        nums = {m: c.numerator * (den // c.denominator) for m, c in self.terms.items()}
+        g = gcd(*nums.values())
+        if nums[self.leading()[0]] < 0:
+            g = -g
+        return Poly.from_terms(self.nvars, {m: c // g for m, c in nums.items()})
 
     def evaluate(self, values):
         """Evaluate at values[i] (any ring with +, *, and int powers)."""
@@ -127,9 +124,7 @@ class Poly:
             else:
                 part = term * c
             acc = part if acc is None else acc + part
-        if acc is None:
-            return Fraction(0)
-        return acc
+        return Fraction(0) if acc is None else acc
 
     def specialize(self, values):
         """Fix variable i to the rational values[i] for each i in values: each
@@ -144,7 +139,7 @@ class Poly:
                     m[i] = 0
             m = tuple(m)
             out[m] = out.get(m, 0) + c
-        return Poly(self.nvars, out)
+        return Poly.from_terms(self.nvars, {m: c for m, c in out.items() if c})
 
     def pretty(self, names):
         if not self.terms:

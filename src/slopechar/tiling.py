@@ -286,8 +286,11 @@ def _digitize_at(s: Slope, offset, radius) -> Patch:
     unit_pi = [_pi_coords(basis, [1.0 if j == i else 0.0 for j in range(n)])
                for i in range(n)]
     step = max(math.sqrt(sum(c * c for c in u)) for u in unit_pi)
-    reach = float(radius) + d * step + 2 * step
-    r = float(radius)
+    try:
+        r = float(radius)
+    except OverflowError:
+        raise InputError("radius is beyond the float range") from None
+    reach = r + d * step + 2 * step
     reach2, r2 = reach * reach, r * r
 
     def norm2(x):
@@ -371,7 +374,10 @@ def _find_seed(member: LatticeMembership, b, target):
     rounding of y = B^T (B B^T)^-1 target, the point of E' with B y = target,
     so the search starts next to the center wherever the offset puts it."""
     bt = b.transpose()
-    start = tuple(round(float(c)) for c in bt.apply(solve_right(b * bt, target)))
+    try:
+        start = tuple(round(float(c)) for c in bt.apply(solve_right(b * bt, target)))
+    except OverflowError:
+        raise InputError("offset is beyond the float range of the seed search") from None
     frontier = deque([start])
     seen = {start}
     budget = 2_000_000

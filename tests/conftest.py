@@ -1,4 +1,5 @@
 import os
+from fractions import Fraction
 
 import pytest
 
@@ -22,6 +23,18 @@ def spy_past_filter(monkeypatch):
 
     monkeypatch.setattr(NumberField, "enclosure", spy)
     return calls
+
+
+def positive_factor(rows, reference):
+    """The one factor f > 0 with rows = f * reference entry by entry, for int
+    rows and a nonzero rational reference; None if there is none."""
+    assert all(type(x) is int for r in rows for x in r)
+    pairs = [(x, y) for r, q in zip(rows, reference, strict=True)
+             for x, y in zip(r, q, strict=True)]
+    f = next((Fraction(x) / y for x, y in pairs if y), None)
+    if f is None or f <= 0 or any(x != f * y for x, y in pairs):
+        return None
+    return f
 
 
 def load(name):

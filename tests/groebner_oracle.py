@@ -3,12 +3,14 @@
 Monomials are exponent tuples ordered by `polyring.grevlex_key`, and
 coefficients are Fractions.  The tests use these as an oracle: S-polynomials
 and normal forms computed here check the bases that `charcheck.buchberger`
-computes with packed integer monomials and integer coefficients.
+computes with packed integer monomials and integer coefficients, and
+`content_normalized` (by a Fraction scale) checks `Poly.content_normalized`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from slopechar.polyring import Poly, grevlex_key
 
@@ -72,3 +74,20 @@ def s_polynomial(f: Poly, g: Poly):
         mm = tuple(a + b for a, b in zip(m, tg))
         terms[mm] = terms.get(mm, Fraction(0)) - c / cg
     return Poly(f.nvars, terms)
+
+
+def content_normalized(p: Poly):
+    """Scale so coefficients are coprime integers, leading one positive."""
+    if not p.terms:
+        return p
+    den = 1
+    for c in p.terms.values():
+        den = den * c.denominator // gcd(den, c.denominator)
+    num = 0
+    for c in p.terms.values():
+        num = gcd(num, abs(c.numerator * (den // c.denominator)))
+    scale = Fraction(den, num)
+    _, lead = p.leading()
+    if lead < 0:
+        scale = -scale
+    return p * scale

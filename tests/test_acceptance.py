@@ -28,6 +28,7 @@ from slopechar.slope import grassmann
 from slopechar.specfile import spec_offset
 from slopechar.tiling import (LatticeMembership, Face, digitize,
                               face_selected_by_anchor, tile_frequencies)
+from conftest import positive_factor
 from groebner_oracle import normal_form, s_polynomial
 from test_linalg import lll_checks
 
@@ -123,9 +124,17 @@ def test_criterion_02_constraint_system(typical):
         [F(56), F(-4), F(-69), F(-26), F(4), F(30), F(-30), F(69), F(-30)],
         [F(32), F(-7), F(-45), F(4), F(7), F(-12), F(-36), F(45), F(12)],
     ])
+    # the cofactors at the slope, scaled to 1 at the last nonzero one
+    rational = [
+        [F(-9, 7), F(0), F(31, 14), F(-1), F(0), F(1), F(16, 7), F(-31, 14), F(-1)],
+        [F(43, 21), F(1, 3), F(-23, 7), F(2, 3), F(-1, 3), F(0), F(-19, 7), F(23, 7), F(0)],
+        [F(-53, 21), F(2, 3), F(22, 7), F(2, 3), F(-2, 3), F(0), F(13, 7), F(-22, 7), F(0)],
+    ]
     constraints = integer_constraints(typical, SEC6_TYPE)
-    assert rank(constraints) == 3
-    assert rank(Matrix(list(constraints.rows) + list(printed.rows))) == 3
+    assert positive_factor(constraints.rows, rational) is not None
+    lifted = Matrix([[F(x) for x in r] for r in constraints.rows])
+    assert rank(lifted) == 3
+    assert rank(Matrix(list(lifted.rows) + list(printed.rows))) == 3
     basis = kernel_int(constraints)
     assert len(basis) == 6
     aug = Matrix([[F(x) for x in row] for row in zip(*basis)])

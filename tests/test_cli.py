@@ -142,6 +142,9 @@ SPEC_TEXTS = {"gen53q3": GEN53Q3, "quad42": QUAD42, "half42": HALF42}
     ("typical", "04e15b6dc81e2deac3a2d4afc4ed30b97dffe3b5c58c076fa00ba16573c92fba"),
     ("ammann_beenker", "e2b3414a87f5ec0b1324f0cba7b8619bab0e00a02d3123cdaf3e4069f73affbc"),
     ("gen53q3", "4e19b7341a17c943f61f0ab6b5544a26c7c628338c92914aab24a4d539506592"),
+    # NonGenericInput: the consequences run minimal_polynomial_of and
+    # content_normalized on Fraction polynomials
+    ("penrose", "bf021f2b3807191c4e378665bee91e80afd4fb6de8a449bddb58ae6e60de58cd"),
 ])
 def test_verdict_golden(tmp_path, spec, digest):
     # Groebner bases, witnesses and r-bounds as reduction over Fraction
@@ -165,7 +168,8 @@ def test_equations(tmp_path):
 @pytest.mark.parametrize("spec, digest", [
     (TYPICAL, "3246b0a0d6880aa50f748ae346ce9b121553d26a1251bb2e0d63201c0c4fd6cc"),
     (AB, "58d3aa2457d653a6a808ce0eefa0bc450bd764f6f5cb6ade13fddfce3f16408e"),
-], ids=["typical", "ammann_beenker"])
+    (PENROSE, "6257a4b225bb059c08c7f6ae67bf8dee0deb886104cb73e865a482490347d5d5"),
+], ids=["typical", "ammann_beenker", "penrose"])
 def test_equations_golden(tmp_path, spec, digest):
     # equations, their types and lattice vectors as a field elimination per
     # vector left them; test_coincidences_golden pins the realizations
@@ -395,7 +399,14 @@ FIVE_THREE = ('minpoly = ["-2", 0, 1]\nroot_interval = ["1", "2"]\nn = 5\nd = 3\
     (Path(AB).read_text() + 'offset = ["2/3", "5/7"]\n', ["--radius", "0"],
      "error: no faces in patch"),
     (Path(AB).read_text(), ["--radius", "abc"], "error: Invalid literal for Fraction: 'abc'"),
-], ids=["integral_sum_not_orthogonal", "svg_needs_d2", "empty_patch", "radius_not_rational"])
+    # a radius and an offset that no float holds: the walk measures the ball,
+    # and the seed search rounds its start, in floats
+    (Path(TYPICAL).read_text(), ["--radius", "1e400"],
+     "error: radius is beyond the float range"),
+    (Path(AB).read_text() + 'offset = [["1e400"], [0]]\n', ["--radius", "3"],
+     "error: offset is beyond the float range of the seed search"),
+], ids=["integral_sum_not_orthogonal", "svg_needs_d2", "empty_patch", "radius_not_rational",
+        "radius_beyond_float", "offset_beyond_float"])
 def test_digitize_bad_input_exits_with_one_line(tmp_path, capsys, spec, args, message):
     path = tmp_path / "in.slope"
     path.write_text(spec)

@@ -191,6 +191,22 @@ def test_kernel_int_matches_rational_kernel_lattice():
             assert all(any(x % 1 == 0 for x in row) for row in h1.rows)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda nc: st.lists(
+           st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=12),
+                    min_size=nc + 1, max_size=nc + 1),
+           min_size=1, max_size=3)),
+       st.lists(st.integers(1, 6), min_size=3, max_size=3))
+def test_kernel_int_of_rows_cleared_by_any_positive_multiple(rows, mults):
+    # a rational matrix takes the quotients of its integer rows, cleared by
+    # any positive multiple of each row's denominator
+    cleared = []
+    for r, k in zip(rows, mults):
+        den = k * lcm(*(x.denominator for x in r))
+        cleared.append([int(x * den) for x in r])
+    assert kernel_int(Matrix(rows)) == kernel_int(Matrix(cleared))
+
+
 def test_hnf_canonical():
     # two bases of the same lattice get the same HNF
     b1 = Matrix([[2, 1], [0, 3]])

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from slopechar.polyring import Poly, grevlex_key
 
+import groebner_oracle
+
 
 def P(terms):
     return Poly(2, {m: F(c) for m, c in terms.items()})
@@ -39,6 +41,19 @@ def test_content_normalized():
     # leading coefficient positive
     r = P({(2, 0): -2, (0, 0): 4}).content_normalized()
     assert r.leading()[1] > 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.tuples(*[st.integers(0, 3)] * 3),
+                       st.fractions(min_value=-40, max_value=40,
+                                    max_denominator=30).filter(bool),
+                       max_size=6))
+def test_content_normalized_matches_fraction_scaling(terms):
+    p = Poly(3, terms)
+    q = p.content_normalized()
+    ref = groebner_oracle.content_normalized(p)
+    assert q == ref and list(q.terms) == list(ref.terms)
+    assert all(type(c) is int for c in q.terms.values())
 
 
 def test_evaluate_exact_and_field(typical):
