@@ -4,6 +4,10 @@ Assembles the coincidence equations of a slope together with the Plucker
 relations and a normalization (some Grassmann coordinate set to 1), computes
 a reduced Groebner basis, and reads the verdict off zero-dimensionality.
 Non-generic slopes get an informational analysis instead of a verdict.
+Every polynomial, from the equations to the basis, the family and the
+consequences, is a primitive packed integer polynomial of the shape's
+`grassmann_ring`; reduction is fraction-free (Monagan and Pearce, J. Symb.
+Comp. 2011), and only the document writer `Ring.json` unpacks exponents.
 """
 
 from __future__ import annotations
@@ -13,84 +17,23 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 
-from .coincidence import (Degenerate, InconsistentSystem, all_equations,
-                          grassmann_variables, minimize_r, realize)
+from .coincidence import (DEGREE_CAP, Degenerate, InconsistentSystem,
+                          all_equations, grassmann_ring, grassmann_variables,
+                          minimize_r, realize)
 from .errors import InputError, ResourceLimit
 from .numfield import count_real_roots, poly_eval, poly_trim, rat_str
-from .polyring import Poly, grevlex_key
+from .polyring import Ring, primitive
 from .slope import (Slope, _perm_sign, grassmann, is_generic,
                     plucker_relation_index_pairs)
 
-DEGREE_CAP = 12
 BASIS_CAP = 10000
 MINPOLY_DEGREE_CAP = 8
 
 
 # ---------------------------------------------------------------------------
-# packed integer polynomials
-
-
-class _Ring:
-    """Packed monomials in nvars variables, every total degree at most
-    max_degree.
-
-    A monomial is the int K = (deg << S) - sum(e_i << W*i), S = W*nvars, with
-    W bits per exponent, the top one a guard bit that no exponent reaches.
-    Int order is then grevlex, K_a + K_b is the product, K_b - K_a the
-    quotient, and a divides b iff (K_a - K_b) & guard is 0: subtracting the
-    fields sets the guard bit of the lowest field that underflows (Monagan
-    and Pearce, J. Symb. Comp. 2011).  A polynomial is a dict {K: int}."""
-
-    def __init__(self, nvars, max_degree):
-        self.nvars = nvars
-        self.width = w = max_degree.bit_length() + 1
-        self.shift = w * nvars
-        self.low = (1 << self.shift) - 1
-        self.guard = sum(1 << (w * i + w - 1) for i in range(nvars))
-
-    def pack(self, mono):
-        v = 0
-        for i, e in enumerate(mono):
-            v |= e << (self.width * i)
-        return (sum(mono) << self.shift) - v
-
-    def unpack(self, k):
-        v = -k & self.low
-        field = (1 << self.width) - 1
-        return tuple((v >> (self.width * i)) & field for i in range(self.nvars))
-
-    def degree(self, k):
-        return (k + self.low) >> self.shift
-
-    def lcm(self, a, b):
-        w = self.width
-        va, vb = -a & self.low, -b & self.low
-        # guard bit of each field where a's exponent is at least b's; the
-        # guard bits set in va keep the fields from borrowing from each other
-        ge = ((va | self.guard) - vb) & self.guard
-        ones = ge >> (w - 1)
-        mask = (ones << w) - ones
-        v = (va & mask) | (vb & ~mask)
-        # the sum of the fields, read off modulo 2^W - 1
-        return ((v % ((1 << w) - 1)) << self.shift) - v
-
-    def primitive(self, p: Poly):
-        """p's terms as coprime integers, the leading one positive."""
-        return {self.pack(m): c for m, c in p.content_normalized().terms.items()}
-
-    def poly(self, terms, den=1):
-        """The Poly of terms / den, terms in descending order."""
-        return Poly.from_terms(self.nvars, {self.unpack(m): Fraction(terms[m], den)
-                                            for m in sorted(terms, reverse=True)})
-
-
-def _primitive(terms):
-    """terms divided by their content, the leading coefficient made positive."""
-    g = math.gcd(*terms.values())
-    if terms[max(terms)] < 0:
-        g = -g
-    return terms if g == 1 else {m: c // g for m, c in terms.items()}
+# fraction-free reduction
 
 
 def _split(terms):
@@ -142,11 +85,12 @@ def _normal_form(work, reducers, guard):
 
 
 class PolyIdeal:
-    """Nonzero generators over named variables, grevlex order.  `buchberger`
-    makes each primitive itself; `assemble_ideal`'s generators are
-    `span_reduce`'s, already content-normalized and distinct."""
+    """Nonzero primitive generators in a ring, over named variables, grevlex
+    order; `assemble_ideal`'s are `span_reduce`'s, with distinct leading
+    monomials."""
 
-    def __init__(self, names, generators, active=None):
+    def __init__(self, ring: Ring, names, generators, active=None):
+        self.ring = ring
         self.names = tuple(names)
         self.generators = tuple(g for g in generators if g)
         self.active = tuple(active) if active is not None else tuple(range(len(names)))
@@ -163,12 +107,14 @@ def _coord_term(tuples_index, idx):
     return _perm_sign(idx, srt), tuples_index[srt]
 
 
+@cache
 def plucker_polys(n, d):
-    """The quadratic Plucker relations as polynomials in the minor variables."""
+    """The quadratic Plucker relations in the minor variables, primitive and
+    distinct, packed in `grassmann_ring(n, d)`: built once per shape."""
     tuples, _ = grassmann_variables(n, d)
     tuples_index = {t: i for i, t in enumerate(tuples)}
-    nvars = len(tuples)
-    out = []
+    ring = grassmann_ring(n, d)
+    out = {}
     for a, b in plucker_relation_index_pairs(n, d):
         terms = {}
         for l, bl in enumerate(b):
@@ -176,25 +122,22 @@ def plucker_polys(n, d):
             s2, i2 = _coord_term(tuples_index, tuple(x for x in b if x != bl))
             if not s1 or not s2:
                 continue
-            mono = [0] * nvars
-            mono[i1] += 1
-            mono[i2] += 1
-            mono = tuple(mono)
+            mono = ring.var(i1) + ring.var(i2)
             terms[mono] = terms.get(mono, 0) + s1 * s2 * (1 if l % 2 == 0 else -1)
-        out.append(Poly.from_terms(nvars, {m: c for m, c in terms.items() if c}))
-    return list(dict.fromkeys(p.content_normalized() for p in out if p))
+        terms = {m: c for m, c in terms.items() if c}
+        if terms:
+            terms = primitive(terms)
+            out.setdefault(frozenset(terms.items()), terms)
+    return tuple(out.values())
 
 
 def span_reduce(polys):
-    """Q-linearly independent triangular basis of the span (sparse Gauss,
-    fraction-free), content-normalized and sorted by leading monomial."""
-    polys = [p for p in polys if p]
-    if not polys:
-        return []
-    ring = _Ring(polys[0].nvars, max(p.degree() for p in polys))
+    """Q-linearly independent triangular basis of the span of primitive
+    polynomials (sparse Gauss, fraction-free), primitive and sorted by
+    leading monomial."""
     pivots = {}  # leading monomial -> primitive row, leading coefficient > 0
     for p in polys:
-        row = ring.primitive(p)
+        row = dict(p)
         while row:
             lead = max(row)
             hit = pivots.get(lead)
@@ -212,8 +155,8 @@ def span_reduce(polys):
                 else:
                     del row[m]
         if row:
-            pivots[lead] = _primitive(row)
-    return [ring.poly(pivots[m]) for m in sorted(pivots)]
+            pivots[lead] = primitive(row)
+    return [pivots[m] for m in sorted(pivots)]
 
 
 def assemble_ideal(s: Slope, equations=None, normalize_at=None):
@@ -233,12 +176,13 @@ def assemble_ideal(s: Slope, equations=None, normalize_at=None):
         name = "G" + "".join(str(i) for i in normalize_at)
         raise InputError(
             f"normalization coordinate {name} vanishes at the slope")
-    nvars = len(tuples)
-    polys = [e.poly for e in equations] + plucker_polys(s.n, s.d)
-    subst = [p.specialize({norm_pos: 1}) for p in polys]
-    gens = span_reduce([p for p in subst if p])
-    active = tuple(i for i in range(nvars) if i != norm_pos)
-    return PolyIdeal(names, gens, active), tuple(normalize_at)
+    ring = grassmann_ring(s.n, s.d)
+    # the normalization coordinate set to 1
+    one = {norm_pos: 1}
+    polys = [e.poly for e in equations] + list(plucker_polys(s.n, s.d))
+    gens = span_reduce([q for p in polys if (q := ring.specialize(p, one))])
+    active = tuple(i for i in range(len(tuples)) if i != norm_pos)
+    return PolyIdeal(ring, names, gens, active), tuple(normalize_at)
 
 
 # ---------------------------------------------------------------------------
@@ -246,22 +190,22 @@ def assemble_ideal(s: Slope, equations=None, normalize_at=None):
 
 
 def buchberger(ideal: PolyIdeal, degree_cap=DEGREE_CAP, basis_cap=BASIS_CAP):
-    """Reduced Groebner basis (grevlex) of the ideal's generators, as monic
-    Polys sorted by leading monomial.
+    """Reduced Groebner basis (grevlex) of the ideal's generators, each
+    element primitive, sorted by leading monomial.
 
-    Works on packed monomials with primitive integer coefficients, so each
-    basis element is a positive multiple of the monic one.  Pairs come in
-    order of their lcm, then of their indices; the product criterion and
-    the chain criterion skip pairs."""
+    Works on the ideal's packed monomials with fraction-free integer
+    coefficients.  Pairs come in order of their lcm, then of their indices;
+    the product criterion and the chain criterion skip pairs.  ValueError if
+    the ring's fields are too narrow for the S-polynomials up to the caps."""
     gens = ideal.generators
     if not gens:
         return []
+    ring = ideal.ring
     # an S-polynomial has at most the degree of two basis elements together,
     # and reduction never raises the degree
-    ring = _Ring(gens[0].nvars,
-                 2 * max(degree_cap, max(g.degree() for g in gens)))
+    ring.require(2 * max(degree_cap, max(ring.degree(max(g)) for g in gens)))
     guard = ring.guard
-    basis = [_split(ring.primitive(g)) for g in gens]
+    basis = [_split(g) for g in gens]
     heap = []
     pending = set()
 
@@ -305,7 +249,7 @@ def buchberger(ideal: PolyIdeal, degree_cap=DEGREE_CAP, basis_cap=BASIS_CAP):
         rem, _ = _normal_form(sp, basis, guard)
         if not rem:
             continue
-        h = _split(_primitive(rem))
+        h = _split(primitive(rem))
         deg = ring.degree(h[0])
         if deg > degree_cap:
             raise ResourceLimit(f"degree {deg} exceeds cap {degree_cap}")
@@ -323,33 +267,32 @@ def buchberger(ideal: PolyIdeal, degree_cap=DEGREE_CAP, basis_cap=BASIS_CAP):
     out = []
     for i, (lm, a, tail) in enumerate(keep):
         rem, s = _normal_form(dict(tail), keep[:i] + keep[i + 1:], guard)
-        out.append(ring.poly({lm: a * s, **rem}, a * s))
+        out.append(primitive({lm: a * s, **rem}))
     return out
 
 
-def _free_variables(gb, active):
+def _free_variables(ring: Ring, gb, active):
     """The active variables that are no leading monomial's pure power."""
-    leads = [g.leading()[0] for g in gb]
+    leads = [max(g) for g in gb]
     return tuple(i for i in active
-                 if not any(sum(m) == m[i] and m[i] > 0 for m in leads))
+                 if not any(lm == ring.degree(lm) * ring.var(i) for lm in leads))
 
 
 # ---------------------------------------------------------------------------
 # univariate consequences and sign filtering
 
 
-def _univariate_in(p: Poly, active):
+def _univariate_in(ring: Ring, p, active):
     """Variable index if p involves exactly one active variable, else None."""
-    used = {i for m in p.terms for i, e in enumerate(m) if e}
-    used &= set(active)
+    used = ring.variables(p) & set(active)
     return used.pop() if len(used) == 1 else None
 
 
-def _to_coeff_list(p: Poly, var):
-    deg = max(m[var] for m in p.terms)
-    coeffs = [Fraction(0)] * (deg + 1)
-    for m, c in p.terms.items():
-        coeffs[m[var]] += c
+def _to_coeff_list(ring: Ring, p, var):
+    deg = max(ring.exponent(m, var) for m in p)
+    coeffs = [0] * (deg + 1)
+    for m, c in p.items():
+        coeffs[ring.exponent(m, var)] += c
     return poly_trim(coeffs)
 
 
@@ -405,15 +348,15 @@ def isolate_real_roots(coeffs):
     return sorted(out)
 
 
-def minimal_polynomial_of(var, gb, nvars):
+def minimal_polynomial_of(var, gb, ring: Ring):
     """Monic univariate polynomial (ascending coefficients) of least degree
-    satisfied by the variable modulo the ideal of gb, or None if that degree
-    exceeds MINPOLY_DEGREE_CAP."""
+    satisfied by the variable modulo the ideal of gb, a primitive Groebner
+    basis in `ring`, or None if that degree exceeds MINPOLY_DEGREE_CAP."""
     cap = MINPOLY_DEGREE_CAP
     # the normal form of var^k has at most degree k
-    ring = _Ring(nvars, max([cap + 1] + [g.degree() for g in gb]))
-    reducers = [_split(ring.primitive(g)) for g in gb]
-    x = ring.pack(tuple(1 if i == var else 0 for i in range(nvars)))
+    ring.require(cap + 1)
+    reducers = [_split(g) for g in gb]
+    x = ring.var(var)
     # the normal form of var^k is scale * nf (of 1 too: it is 0 in the unit
     # ideal)
     nf, s = _normal_form({0: 1}, reducers, ring.guard)
@@ -465,6 +408,7 @@ def _root_sign(interval):
 @dataclass
 class Verdict:
     status: str  # CharacterizedByCoincidences | NotCharacterized | NonGenericInput
+    ring: Ring  # the ring of every polynomial below
     names: tuple = ()
     normalization: tuple | None = None
     equations: tuple = ()
@@ -494,7 +438,7 @@ def _r_bound(s: Slope, equations):
     return best, tuple(witnesses)
 
 
-def _solve_linearly(gens, active):
+def _solve_linearly(ring: Ring, gens, active):
     """Assignment {var: Fraction} if repeated linear elimination solves the
     system completely, else None."""
     gens = [g for g in gens if g]
@@ -503,16 +447,15 @@ def _solve_linearly(gens, active):
     while gens and progress:
         progress = False
         for g in list(gens):
-            var = _univariate_in(g, active)
+            var = _univariate_in(ring, g, active)
             if var is None or var in values:
                 continue
-            coeffs = _to_coeff_list(g, var)
+            coeffs = _to_coeff_list(ring, g, var)
             if len(coeffs) != 2:
                 continue
-            v = -coeffs[0] / coeffs[1]
+            v = Fraction(-coeffs[0], coeffs[1])
             values[var] = v
-            gens = [h.specialize({var: v}) for h in gens]
-            gens = [h for h in gens if h]
+            gens = [q for h in gens if (q := ring.specialize(h, {var: v}))]
             progress = True
             break
     if gens:
@@ -547,19 +490,20 @@ def _candidates(v):
     return [c for c in dict.fromkeys(candidates) if (c > 0) == positive]
 
 
-def _comparison_point(gb, active, free, names, exact_values, norm_pos):
+def _comparison_point(ring: Ring, gb, active, free, names, exact_values, norm_pos):
     """A rational point on the positive-dimensional component, distinct from
     the slope's own coordinates: specialize the free variables in turn, each
     to the first nearby rational that leaves no nonzero constant, until
     linear elimination solves the rest.  None unless the point has every
     coordinate and the whole basis vanishes at it."""
-    nvars = len(names)
     spec = list(gb)
     values = {norm_pos: Fraction(1)}
     for fv in free:
         for c in _candidates(exact_values[fv]):
-            trial = [g.specialize({fv: c}) for g in spec]
-            if not any(g.degree() == 0 and g for g in trial):
+            trial = [ring.specialize(g, {fv: c}) for g in spec]
+            # a nonzero constant (the packed monomial 1 is 0) empties the
+            # variety
+            if not any(g and max(g) == 0 for g in trial):
                 break
         else:
             return None
@@ -568,13 +512,13 @@ def _comparison_point(gb, active, free, names, exact_values, norm_pos):
         # free by their leading terms, the variables may still be bound to
         # each other: stop as soon as the rest is determined
         rest = [a for a in active if a not in values]
-        sol = _solve_linearly(spec, rest)
+        sol = _solve_linearly(ring, spec, rest)
         if sol is not None and len(sol) == len(rest):
             break
     else:
         return None
     values.update(sol)
-    if any(g.evaluate([values[i] for i in range(nvars)]) for g in gb):
+    if any(ring.specialize(g, values) for g in gb):
         return None
     return {names[i]: x for i, x in values.items()}
 
@@ -591,8 +535,9 @@ def verdict(s: Slope, normalize_at=None) -> Verdict:
     timings["equations"] = time.monotonic() - t0
     g = grassmann(s)
     exact = [g[t] for t in tuples]
+    ring = grassmann_ring(s.n, s.d)
     for e in eqs:
-        if not e.poly.evaluate(exact).is_zero():
+        if ring.evaluate(e.poly, exact) != 0:
             raise RuntimeError("coincidence equation fails to vanish at the slope")
 
     t1 = time.monotonic()
@@ -605,9 +550,8 @@ def verdict(s: Slope, normalize_at=None) -> Verdict:
 
     if not generic:
         consequences = []
-        nvars = len(tuples)
         for var in ideal.active:
-            coeffs = minimal_polynomial_of(var, gb, nvars)
+            coeffs = minimal_polynomial_of(var, gb, ring)
             if coeffs is None:
                 continue
             # a zero root means the coordinate vanishes, excluded whenever the
@@ -617,9 +561,10 @@ def verdict(s: Slope, normalize_at=None) -> Verdict:
                 coeffs = coeffs[1:]
             if len(coeffs) <= 2:
                 continue
-            mono = [0] * nvars
-            poly = Poly(nvars, {tuple(mono[:var] + [k] + mono[var + 1:]): c
-                                for k, c in enumerate(coeffs)})
+            den = math.lcm(*(c.denominator for c in coeffs))
+            x = ring.var(var)
+            poly = primitive({k * x: c.numerator * (den // c.denominator)
+                              for k, c in enumerate(coeffs) if c})
             roots = []
             for iv in isolate_real_roots(coeffs):
                 sign = _root_sign(iv)
@@ -630,43 +575,42 @@ def verdict(s: Slope, normalize_at=None) -> Verdict:
                 })
             consequences.append({
                 "variable": names[var],
-                "polynomial": poly.content_normalized(),
+                "polynomial": poly,
                 "achievable_sign": achievable,
                 "roots": roots,
             })
         timings["total"] = time.monotonic() - t0
-        return Verdict(status="NonGenericInput", names=tuple(names),
+        return Verdict(status="NonGenericInput", ring=ring, names=tuple(names),
                        normalization=norm, equations=tuple(eqs),
                        groebner=tuple(gb),
                        witness={"rational_normal_vector": tuple(gwitness)},
                        consequences=tuple(consequences), timings=timings)
 
-    free = _free_variables(gb, ideal.active)
+    free = _free_variables(ring, gb, ideal.active)
     if not free:
         r_bound, witnesses = _r_bound(s, eqs)
         timings["total"] = time.monotonic() - t0
-        return Verdict(status="CharacterizedByCoincidences", names=tuple(names),
-                       normalization=norm, equations=tuple(eqs),
-                       groebner=tuple(gb), r_bound=r_bound,
+        return Verdict(status="CharacterizedByCoincidences", ring=ring,
+                       names=tuple(names), normalization=norm,
+                       equations=tuple(eqs), groebner=tuple(gb), r_bound=r_bound,
                        r_witnesses=witnesses, timings=timings)
 
     # family through the slope: specialize bound variables whose value at the
     # slope is rational, keep the relations purely among the free variables
     bound = {i: scaled[i].coeffs[0] for i in ideal.active
              if i not in free and scaled[i].is_rational()}
-    family = []
+    family = {}
     for p in gb:
-        q = p.specialize(bound)
-        if q and {i for m in q.terms for i, e in enumerate(m) if e} <= set(free):
-            family.append(q.content_normalized())
-    family = tuple(dict.fromkeys(family))
-    point = _comparison_point(gb, ideal.active, free, names, scaled, norm_pos)
+        q = ring.specialize(p, bound)
+        if q and ring.variables(q) <= set(free):
+            family.setdefault(frozenset(q.items()), q)
+    point = _comparison_point(ring, gb, ideal.active, free, names, scaled, norm_pos)
     timings["total"] = time.monotonic() - t0
-    return Verdict(status="NotCharacterized", names=tuple(names),
+    return Verdict(status="NotCharacterized", ring=ring, names=tuple(names),
                    normalization=norm, equations=tuple(eqs), groebner=tuple(gb),
                    witness={
                        "free_variables": tuple(names[i] for i in free),
-                       "family": family,
+                       "family": tuple(family.values()),
                        "comparison_point": point,
                    },
                    timings=timings)
@@ -676,23 +620,16 @@ def verdict(s: Slope, normalize_at=None) -> Verdict:
 # JSON
 
 
-def poly_json(p: Poly, names):
-    return {
-        "pretty": p.pretty(names),
-        "terms": [{"monomial": list(m), "coefficient": rat_str(c)}
-                  for m, c in sorted(p.terms.items(),
-                                     key=lambda kv: grevlex_key(kv[0]), reverse=True)],
-    }
-
-
 def verdict_json(v: Verdict):
     names = list(v.names)
+    ring = v.ring
     out = {
         "status": v.status,
         "variables": names,
         "normalization": "G" + "".join(str(i) for i in v.normalization) if v.normalization else None,
         "equation_count": len(v.equations),
-        "groebner_basis": [poly_json(p, names) for p in v.groebner],
+        # the reduced basis is written monic
+        "groebner_basis": [ring.json(p, names, monic=True) for p in v.groebner],
         "timings": {k: round(t, 3) for k, t in v.timings.items()},
     }
     if v.status == "CharacterizedByCoincidences":
@@ -701,7 +638,7 @@ def verdict_json(v: Verdict):
     if v.status == "NotCharacterized":
         out["witness"] = {
             "free_variables": list(v.witness.get("free_variables", ())),
-            "family": [poly_json(p, names) for p in v.witness.get("family", ())],
+            "family": [ring.json(p, names) for p in v.witness.get("family", ())],
             "comparison_point": (
                 {k: rat_str(x) for k, x in v.witness["comparison_point"].items()}
                 if v.witness.get("comparison_point") else None),
@@ -711,7 +648,7 @@ def verdict_json(v: Verdict):
                           list(v.witness.get("rational_normal_vector", ()))}
         out["consequences"] = [{
             "variable": c["variable"],
-            "polynomial": poly_json(c["polynomial"], names),
+            "polynomial": ring.json(c["polynomial"], names),
             "achievable_sign": c["achievable_sign"],
             "roots": [{
                 "interval": [rat_str(c2) for c2 in r["interval"]],

@@ -127,12 +127,13 @@ def cmd_equations(args):
     spec, s = _load(args.spec)
     eqs = coincidence.all_equations(s)
     _, names = coincidence.grassmann_variables(s.n, s.d)
+    ring = coincidence.grassmann_ring(s.n, s.d)
     doc = {
         "variables": names,
         "equations": [{
             "subsets": [list(sub) for sub in e.type.subsets],
             "vector": list(e.vector),
-            "polynomial": charcheck.poly_json(e.poly, names),
+            "polynomial": ring.json(e.poly, names),
         } for e in eqs],
     }
     _emit(doc, args.json)

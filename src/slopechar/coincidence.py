@@ -5,21 +5,24 @@ unit (n-d-1)-faces of Z^n whose projections are concurrent in the window:
 det M(v) = 0 for a square matrix whose column 0 is linear in the integer
 entries v.  One Laplace expansion per type writes det M(v) in the Grassmann
 coordinates; its column-0 cofactors give the lattice constraints, and
-lattice vectors are realized in E' coordinates.  Everything is exact.
+lattice vectors are realized in E' coordinates.  The equations are
+primitive integer polynomials on the packed monomials of one
+`polyring.Ring` per shape (`grassmann_ring`).  Everything is exact.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, product
-from math import prod
+from math import comb, prod
 from operator import mul
 
 from .geometry import eprime_basis
 from .linalg import Matrix, kernel_int, lll, rref_int
 from .numfield import FieldElem, _canonical, _cofactors
-from .polyring import Poly
+from .polyring import Ring, primitive
 from .slope import Slope, grassmann
 
 
@@ -160,12 +163,12 @@ def integer_constraints(s: Slope, t: CoincidenceType) -> Matrix:
     of C / (last nonzero C_r) over one common denominator.
     """
     _check_shape(s, t)
-    col0, _, data = _expansion_data(t)
+    col0, data = _expansion_data(t)
     g = grassmann(s)
     gvals = [g[tp] for tp in grassmann_variables(s.n, s.d)[0]]
     cofs = [s.field.zero] * len(col0)
-    for mono, form in data:
-        gm = prod(gvals[i] for i, e in enumerate(mono) for _ in range(e))
+    for _, factors, form in data:
+        gm = prod(gvals[i] for i in factors)
         for r, c in form:
             cofs[r] = cofs[r] + gm * c
     k = s.field.degree
@@ -329,19 +332,28 @@ def grassmann_variables(n, d):
     return tuples, names
 
 
+# the largest total degree of a Groebner basis element (`charcheck.buchberger`)
+DEGREE_CAP = 12
+
+
+@cache
+def grassmann_ring(n, d):
+    """The packed monomials in the Grassmann coordinates of (n, d), one ring
+    per shape: wide enough for the S-polynomials of two basis elements of
+    degree DEGREE_CAP."""
+    return Ring(comb(n, d), 2 * DEGREE_CAP)
+
+
 @dataclass
 class CoincidenceEquation:
-    poly: Poly
+    poly: dict  # primitive packed terms in `grassmann_ring(n, d)`
     type: CoincidenceType
     vector: tuple
 
-    def degree(self):
-        return self.poly.degree()
 
-
-# (n, d, type subsets) -> (column 0 coefficients, nvars, Laplace forms per
-# monomial); all three depend only on the shape and the type, so every slope
-# of a shape shares them
+# (n, d, type subsets) -> (column 0 coefficients, Laplace forms per
+# monomial); both depend only on the shape and the type, so every slope of a
+# shape shares them
 _EXPANSIONS = {}
 
 
@@ -352,7 +364,8 @@ def _expansion_data(t: CoincidenceType):
     Each term's integer rows get their column-0 cofactors from one Bareiss
     elimination (`_cofactors`), and the terms of one monomial are summed:
     the forms' coefficients are the column-0 cofactors of M as polynomials
-    in the Grassmann coordinates.
+    in the Grassmann coordinates.  A monomial is kept as its packed key in
+    `grassmann_ring` and as its variable positions, one per factor.
     """
     key = (t.n, t.d, t.subsets)
     got = _EXPANSIONS.get(key)
@@ -363,7 +376,7 @@ def _expansion_data(t: CoincidenceType):
     p = t.p
     gtuples, _ = grassmann_variables(n, d)
     gindex = {gt: i for i, gt in enumerate(gtuples)}
-    nvars = len(gtuples)
+    ring = grassmann_ring(n, d)
     half = (p + 2) * (p + 1) // 2
     forms = {}
     for choice in product(combinations(range(n), d), repeat=n - d):
@@ -373,34 +386,34 @@ def _expansion_data(t: CoincidenceType):
             keep = set(rset)
             srows.extend(blk * n + jj for jj in range(n) if jj not in keep)
         sign = -1 if (sum(srows) + len(srows) + half) % 2 else 1
-        mono = [0] * nvars
-        for rset in choice:
-            mono[gindex[tuple(jj + 1 for jj in rset)]] += 1
-        form = forms.setdefault(tuple(mono), {})
+        factors = tuple(sorted(gindex[tuple(jj + 1 for jj in rset)] for rset in choice))
+        form = forms.setdefault(factors, {})
         for r, cof in zip(srows, _cofactors([a_rows[rr] for rr in srows])):
             if cof:
                 form[r] = form.get(r, 0) + sign * cof
     data = []
-    for mono, form in forms.items():
+    for factors, form in forms.items():
         form = tuple((r, c) for r, c in form.items() if c)
         if form:
-            data.append((mono, form))
-    got = _EXPANSIONS[key] = (col0, nvars, data)
+            data.append((sum(map(ring.var, factors)), factors, form))
+    got = _EXPANSIONS[key] = (col0, data)
     return got
 
 
 def equation_of(s: Slope, t: CoincidenceType, v):
-    """Blockwise Laplace expansion of det(M(v)) into Grassmann variables."""
+    """Blockwise Laplace expansion of det(M(v)) into Grassmann variables:
+    det(M(v)) itself, as packed integer terms."""
     _check_shape(s, t)
-    col0, nvars, data = _expansion_data(t)
+    col0, data = _expansion_data(t)
     c0 = _column0(col0, v)
-    poly = Poly.from_terms(nvars, {mono: c for mono, form in data
-                                   if (c := sum(cof * c0[r] for r, cof in form))})
+    poly = {key: c for key, _, form in data
+            if (c := sum(cof * c0[r] for r, cof in form))}
     return CoincidenceEquation(poly, t, tuple(v)) if poly else TrivialEquation()
 
 
 def all_equations(s: Slope):
-    """Deduplicated coincidence equations from LLL bases of every type."""
+    """Deduplicated primitive coincidence equations from LLL bases of every
+    type."""
     out = []
     seen = set()
     for t in enumerate_types(s.n, s.d):
@@ -408,12 +421,12 @@ def all_equations(s: Slope):
             eq = equation_of(s, t, v)
             if isinstance(eq, TrivialEquation):
                 continue
-            norm = eq.poly.content_normalized()
-            key = frozenset(norm.terms.items())
+            eq.poly = primitive(eq.poly)
+            key = frozenset(eq.poly.items())
             if key in seen:
                 continue
             seen.add(key)
-            out.append(CoincidenceEquation(norm, t, tuple(v)))
+            out.append(eq)
     return out
 
 

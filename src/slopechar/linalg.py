@@ -1,11 +1,12 @@
 """Exact linear algebra over Q and Q(alpha).
 
-Matrices are small and dense (list of row tuples); entries are Fractions or
-FieldElems, never floats.  Determinants, kernels and solving use exact
-elimination with the first nonzero pivot scanning top to bottom.  Lattice
-work takes int matrices and stays over Z: HNF, integer kernels, and LLL
-(delta = 3/4) in its integral form, which tracks Gram-Schmidt data as
-integers and never builds a rational Gram-Schmidt basis.
+Matrices are small and dense (list of row tuples); entries are ints,
+Fractions or FieldElems, never floats: a pivot's inverse is exact for each.
+Determinants, kernels and solving use exact elimination with the first
+nonzero pivot scanning top to bottom.  Lattice work takes int matrices and
+stays over Z: HNF, integer kernels, and LLL (delta = 3/4) in its integral
+form, which tracks Gram-Schmidt data as integers and never builds a rational
+Gram-Schmidt basis.
 """
 
 from __future__ import annotations
@@ -90,6 +91,11 @@ def _is_zero(x):
     return x == 0
 
 
+def _inverse(p):
+    """1 / p, exact for int, Fraction and FieldElem pivots alike."""
+    return Fraction(1, p) if isinstance(p, int) else 1 / p
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -112,7 +118,7 @@ def det(m: Matrix):
             sign_flips ^= 1
         p = rows[c][c]
         result = p if result is None else result * p
-        pinv = 1 / p
+        pinv = _inverse(p)
         for r in range(c + 1, n):
             f = rows[r][c] * pinv
             if _is_zero(f):
@@ -134,7 +140,7 @@ def rref(m: Matrix):
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        pinv = 1 / rows[r][c]
+        pinv = _inverse(rows[r][c])
         rows[r] = [a * pinv for a in rows[r]]
         for i in range(nr):
             if i != r and not _is_zero(rows[i][c]):

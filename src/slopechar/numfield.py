@@ -130,51 +130,75 @@ def count_real_roots(p, lo: Fraction, hi: Fraction) -> int:
     return _sign_changes(chain, lo) - _sign_changes(chain, hi)
 
 
-def _rational_roots_exist(intp: list[int]) -> bool:
-    # candidates p/q with p | a0, q | an (a0 != 0 assumed by caller)
-    def divisors(n):
-        n = abs(n)
-        out = []
-        i = 1
-        while i * i <= n:
-            if n % i == 0:
-                out.append(i)
-                out.append(n // i)
-            i += 1
-        return set(out)
+def _has_integer_root(q: list[int]) -> bool:
+    """Whether the monic integer cubic q (ascending) has an integer root.
 
-    a0, an = intp[0], intp[-1]
-    for p in divisors(a0):
-        for q in divisors(an):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if poly_eval([Fraction(c) for c in intp], cand) == 0:
-                    return True
+    q is monotone on each stretch between its critical points (-2 q2 -+
+    sqrt(D)) / 6, D = 4 q2^2 - 12 q1; an integer bisection on each stretch of
+    the root bound [-B, B] finds its root if it has one, in O(log B)
+    evaluations.  The two integers next to the critical points are tried
+    directly."""
+    def at(y):
+        return ((y + q[2]) * y + q[1]) * y + q[0]
+
+    bound = 1 + max(abs(c) for c in q[:3])
+    disc = 4 * q[2] * q[2] - 12 * q[1]
+    if disc <= 0:
+        stretches = [(-bound, bound)]
+    else:
+        r = math.isqrt(disc)
+        # critical points c1 in (k1 - 1, k1 + 1), c2 in [k2, k2 + 2)
+        k1, k2 = (-2 * q[2] - r) // 6, (-2 * q[2] + r) // 6
+        if at(k1) == 0 or at(k2 + 1) == 0:
+            return True
+        stretches = [(-bound, k1 - 1), (k1 + 1, k2), (k2 + 2, bound)]
+    for lo, hi in stretches:
+        lo, hi = max(lo, -bound), min(hi, bound)
+        if lo > hi:
+            continue
+        flo, fhi = at(lo), at(hi)
+        if flo == 0 or fhi == 0:
+            return True
+        if (flo > 0) == (fhi > 0):
+            continue
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            fm = at(mid)
+            if fm == 0:
+                return True
+            if (fm > 0) == (flo > 0):
+                lo = mid
+            else:
+                hi = mid
     return False
 
 
 def is_irreducible(p: Sequence[Fraction]) -> bool:
-    """Irreducibility over Q of a nonconstant polynomial."""
+    """Irreducibility over Q of a nonconstant polynomial.
+
+    A quadratic or cubic is reducible iff it has a rational root: a quadratic
+    iff its discriminant is a square, a cubic a3 x^3 + ... + a0 iff its monic
+    transform in y = a3 x, y^3 + a2 y^2 + a1 a3 y + a0 a3^2, has an integer
+    root.  Both cost a polynomial in the coefficients' bit length.  Higher
+    degrees go to sympy."""
     p = poly_trim(p)
     deg = len(p) - 1
     if deg < 1:
         return False
     if deg == 1:
         return True
-    # clear denominators to a primitive integer polynomial
-    from math import gcd, lcm
-
-    den = lcm(*[c.denominator for c in p])
+    # clear denominators to an integer polynomial
+    den = math.lcm(*[c.denominator for c in p])
     intp = [int(c * den) for c in p]
-    g = 0
-    for c in intp:
-        g = gcd(g, c)
-    intp = [c // g for c in intp]
     if intp[0] == 0:
         return False  # X divides
-    if _rational_roots_exist(intp):
-        return False
-    if deg <= 3:
-        return True  # no rational root and degree <= 3
+    if deg == 2:
+        a0, a1, a2 = intp
+        disc = a1 * a1 - 4 * a2 * a0
+        return disc < 0 or math.isqrt(disc) ** 2 != disc
+    if deg == 3:
+        a0, a1, a2, a3 = intp
+        return not _has_integer_root([a0 * a3 * a3, a1 * a3, a2, 1])
     import sympy  # only reached for degree >= 4
 
     x = sympy.Symbol("x")

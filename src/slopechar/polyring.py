@@ -1,152 +1,130 @@
-"""Multivariate polynomials over Q with graded reverse lexicographic order.
+"""Integer polynomials on packed monomials in graded reverse lexicographic order.
 
-A polynomial is a dict {exponent tuple: int or Fraction}; integer
-polynomials keep int coefficients, and `content_normalized` returns ints.
-The variable names live beside the data (typically Grassmann symbols "G12",
-"G134", ...).  Kept minimal: arithmetic, evaluation, fixing variables to
-rationals, and the grevlex order.  Groebner bases are computed in
-`charcheck`, on packed integer monomials with integer coefficients.
+A polynomial is a dict {K: int} over the packed monomials K of a `Ring`.
+The verdict keeps every polynomial primitive (`primitive`): coprime
+coefficients, the one of the largest monomial positive.  A rational
+polynomial is held as its primitive multiple, which every test it serves
+allows: zero tests, degrees, root ratios and ideal membership do not see a
+nonzero scale.  Exponent tuples appear only in the document writer
+(`Ring.json`).  Groebner bases are computed in `charcheck`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 
-def grevlex_key(mono):
-    """Sort key: higher means larger in graded reverse lexicographic order."""
-    return (sum(mono), tuple(-e for e in reversed(mono)))
+class Ring:
+    """Packed monomials in nvars variables, every exponent at most
+    max_degree.
 
+    A monomial is the int K = (deg << S) - sum(e_i << W*i), S = W*nvars, with
+    W bits per exponent, the top one a guard bit that no exponent reaches.
+    Int order is then grevlex, K_a + K_b is the product, K_b - K_a the
+    quotient, and a divides b iff (K_a - K_b) & guard is 0: subtracting the
+    fields sets the guard bit of the lowest field that underflows (Monagan
+    and Pearce, J. Symb. Comp. 2011).  Packing is linear: the monomial
+    x_i^e is e * var(i)."""
 
-class Poly:
-    """Immutable polynomial in a fixed variable count, coefficients int or Fraction."""
-
-    __slots__ = ("terms", "nvars")
-
-    def __init__(self, nvars, terms=()):
+    def __init__(self, nvars, max_degree):
         self.nvars = nvars
-        clean = {}
-        for mono, c in (terms.items() if isinstance(terms, dict) else terms):
-            c = Fraction(c)
-            if c:
-                mono = tuple(mono)
-                clean[mono] = clean.get(mono, Fraction(0)) + c
-        self.terms = {m: c for m, c in clean.items() if c}
+        self.width = w = max_degree.bit_length() + 1
+        self.max_degree = (1 << (w - 1)) - 1
+        self.shift = w * nvars
+        self.low = (1 << self.shift) - 1
+        self.guard = sum(1 << (w * i + w - 1) for i in range(nvars))
+        self._vars = tuple((1 << self.shift) - (1 << (w * i)) for i in range(nvars))
 
-    @classmethod
-    def from_terms(cls, nvars, terms):
-        """The Poly of `terms`, a dict of exponent tuples to nonzero ints or
-        Fractions, taken as it is."""
-        p = cls.__new__(cls)
-        p.nvars = nvars
-        p.terms = terms
-        return p
+    def require(self, degree):
+        """ValueError unless every exponent up to `degree` fits a field."""
+        if degree > self.max_degree:
+            raise ValueError(f"exponents up to {degree} overflow a ring of "
+                             f"{self.width}-bit fields")
 
-    @classmethod
-    def zero(cls, nvars):
-        return cls(nvars)
+    def var(self, i):
+        """The packed monomial x_i."""
+        return self._vars[i]
 
-    @classmethod
-    def constant(cls, nvars, c):
-        return cls(nvars, {(0,) * nvars: Fraction(c)})
+    def unpack(self, k):
+        v = -k & self.low
+        field = (1 << self.width) - 1
+        return tuple((v >> (self.width * i)) & field for i in range(self.nvars))
 
-    def is_zero(self):
-        return not self.terms
+    def exponent(self, k, i):
+        return ((-k & self.low) >> (self.width * i)) & ((1 << self.width) - 1)
 
-    def __bool__(self):
-        return bool(self.terms)
+    def degree(self, k):
+        return (k + self.low) >> self.shift
 
-    def __eq__(self, other):
-        return isinstance(other, Poly) and self.terms == other.terms
+    def lcm(self, a, b):
+        w = self.width
+        va, vb = -a & self.low, -b & self.low
+        # guard bit of each field where a's exponent is at least b's; the
+        # guard bits set in va keep the fields from borrowing from each other
+        ge = ((va | self.guard) - vb) & self.guard
+        ones = ge >> (w - 1)
+        mask = (ones << w) - ones
+        v = (va & mask) | (vb & ~mask)
+        # the sum of the fields, read off modulo 2^W - 1
+        return ((v % ((1 << w) - 1)) << self.shift) - v
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+    def variables(self, terms):
+        """The variables with a nonzero exponent in some term."""
+        v = 0
+        for k in terms:
+            v |= -k & self.low
+        field = (1 << self.width) - 1
+        return {i for i in range(self.nvars) if (v >> (self.width * i)) & field}
 
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.constant(self.nvars, other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return Poly(self.nvars, out)
+    def specialize(self, terms, values):
+        """The primitive form of terms with variable i fixed to the rational
+        values[i], for each i in values.
 
-    def __neg__(self):
-        return Poly(self.nvars, {m: -c for m, c in self.terms.items()})
+        For values[i] = a/b and top the largest exponent of x_i, a term c x_i^e
+        becomes c a^e b^(top-e): the polynomial times b^top, still integer."""
+        items = terms.items()
+        for i, q in values.items():
+            exps = [self.exponent(k, i) for k in terms]
+            top = max(exps, default=0)
+            if not top:
+                continue
+            num, den = q.numerator, q.denominator
+            unit = self._vars[i]
+            out = {}
+            for (k, c), e in zip(items, exps):
+                if e:
+                    k -= e * unit
+                    c *= num ** e * den ** (top - e)
+                elif den != 1:
+                    c *= den ** top
+                out[k] = out.get(k, 0) + c
+            terms = {k: c for k, c in out.items() if c}
+            items = terms.items()
+        return primitive(terms) if terms else {}
 
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.constant(self.nvars, other)
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Poly(self.nvars, {m: c * other for m, c in self.terms.items()})
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                out[m] = out.get(m, Fraction(0)) + c1 * c2
-        return Poly(self.nvars, out)
-
-    __rmul__ = __mul__
-
-    def leading(self):
-        """(monomial, coefficient) under grevlex."""
-        m = max(self.terms, key=grevlex_key)
-        return m, self.terms[m]
-
-    def degree(self):
-        return max((sum(m) for m in self.terms), default=-1)
-
-    def content_normalized(self):
-        """The positive multiple with coprime int coefficients, leading one
-        positive, in the same term order."""
-        if not self.terms:
-            return self
-        den = lcm(*(c.denominator for c in self.terms.values()))
-        nums = {m: c.numerator * (den // c.denominator) for m, c in self.terms.items()}
-        g = gcd(*nums.values())
-        if nums[self.leading()[0]] < 0:
-            g = -g
-        return Poly.from_terms(self.nvars, {m: c // g for m, c in nums.items()})
-
-    def evaluate(self, values):
-        """Evaluate at values[i] (any ring with +, *, and int powers)."""
-        acc = None
-        for m, c in sorted(self.terms.items(), key=lambda kv: grevlex_key(kv[0])):
-            term = None
-            for i, e in enumerate(m):
+    def evaluate(self, terms, values):
+        """The value at values[i] for variable i: ints, Fractions or field
+        elements."""
+        total = 0
+        for k, c in terms.items():
+            m = None
+            for i, e in enumerate(self.unpack(k)):
                 for _ in range(e):
-                    term = values[i] if term is None else term * values[i]
-            if term is None:
-                part = values[0] - values[0] + c if values else c
-            else:
-                part = term * c
-            acc = part if acc is None else acc + part
-        return Fraction(0) if acc is None else acc
+                    m = values[i] if m is None else m * values[i]
+            total = total + (c if m is None else m * c)
+        return total
 
-    def specialize(self, values):
-        """Fix variable i to the rational values[i] for each i in values: each
-        term's coefficient is multiplied by values[i]**e and its exponent e of
-        variable i is set to 0."""
-        out = {}
-        for m, c in self.terms.items():
-            m = list(m)
-            for i, q in values.items():
-                if m[i]:
-                    c *= q ** m[i]
-                    m[i] = 0
-            m = tuple(m)
-            out[m] = out.get(m, 0) + c
-        return Poly.from_terms(self.nvars, {m: c for m, c in out.items() if c})
-
-    def pretty(self, names):
-        if not self.terms:
-            return "0"
+    def json(self, terms, names, monic=False):
+        """The document form: `pretty` and the `terms` with exponent lists,
+        both in descending (grevlex) order; coefficients divided by the
+        leading one when monic."""
+        keys = sorted(terms, reverse=True)
+        lead = terms[keys[0]] if monic and keys else 1
+        coeffs = [Fraction(terms[k], lead) if lead != 1 else terms[k] for k in keys]
+        monos = [self.unpack(k) for k in keys]
         bits = []
-        for m in sorted(self.terms, key=grevlex_key, reverse=True):
-            c = self.terms[m]
+        for m, c in zip(monos, coeffs):
             vars_part = "*".join(
                 names[i] + (f"^{e}" if e > 1 else "")
                 for i, e in enumerate(m) if e)
@@ -158,11 +136,20 @@ class Poly:
                 bits.append("-" + vars_part)
             else:
                 bits.append(f"{c}*{vars_part}")
-        out = bits[0]
+        pretty = bits[0] if bits else "0"
         for b in bits[1:]:
-            out += " - " + b[1:] if b.startswith("-") else " + " + b
-        return out
+            pretty += " - " + b[1:] if b.startswith("-") else " + " + b
+        return {
+            "pretty": pretty,
+            "terms": [{"monomial": list(m), "coefficient": str(c)}
+                      for m, c in zip(monos, coeffs)],
+        }
 
-    def __repr__(self):
-        return f"Poly({len(self.terms)} terms, nvars={self.nvars})"
 
+def primitive(terms):
+    """Nonzero integer terms divided by their content, the leading (largest
+    monomial's) coefficient made positive."""
+    g = gcd(*terms.values())
+    if terms[max(terms)] < 0:
+        g = -g
+    return terms if g == 1 else {k: c // g for k, c in terms.items()}

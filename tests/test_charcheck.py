@@ -11,27 +11,34 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groebner_oracle import (monomial_div, monomial_divides, monomial_lcm,
-                             normal_form, s_polynomial)
+import groebner_oracle as oracle
+from groebner_oracle import (add, grevlex_key, leading, monic, monomial_div,
+                             monomial_divides, monomial_lcm, mul, normal_form,
+                             packed, poly, s_polynomial, unpacked)
 from slopechar import cli
 from slopechar.charcheck import (MINPOLY_DEGREE_CAP, PolyIdeal, ResourceLimit,
-                                 _free_variables, _normal_form, _Ring, _split,
+                                 _free_variables, _normal_form, _split,
                                  assemble_ideal, buchberger, isolate_real_roots,
                                  minimal_polynomial_of, plucker_polys,
                                  span_reduce, verdict)
-from slopechar.coincidence import grassmann_variables
+from slopechar.coincidence import (DEGREE_CAP, grassmann_ring,
+                                   grassmann_variables)
 from slopechar.linalg import Matrix, det
-from slopechar.polyring import Poly, grevlex_key
+from slopechar.polyring import Ring, primitive
 
 X, Y, Z = range(3)
 
 
-def _p2(terms):
-    return Poly(2, {m: F(c) for m, c in terms.items()})
+def _ideal(nv, gens, ring=None):
+    """The PolyIdeal of plain generator dicts in nv variables, packed in
+    `ring` (by default one wide enough for DEGREE_CAP)."""
+    ring = ring or Ring(nv, 2 * DEGREE_CAP)
+    return PolyIdeal(ring, ["x%d" % i for i in range(nv)], [packed(ring, g) for g in gens])
 
 
-def _p3(terms):
-    return Poly(3, {m: F(c) for m, c in terms.items()})
+def _basis(ideal, **caps):
+    """The reduced basis of the ideal as monic plain dicts."""
+    return [monic(unpacked(ideal.ring, g)) for g in buchberger(ideal, **caps)]
 
 
 def _minors(rows, d):
@@ -46,11 +53,12 @@ def test_plucker_polys_vanish_on_minors():
     rng = random.Random(7)
     for n, d in ((4, 2), (5, 2), (6, 3)):
         polys = plucker_polys(n, d)
+        ring = grassmann_ring(n, d)
         for _ in range(10):
             rows = [[F(rng.randint(-5, 5)) for _ in range(d)] for _ in range(n)]
             vals = _minors(rows, d)
             for p in polys:
-                assert p.evaluate(vals) == 0
+                assert ring.evaluate(p, vals) == 0
 
 
 def test_plucker_polys_reject_non_minor_vector():
@@ -59,25 +67,30 @@ def test_plucker_polys_reject_non_minor_vector():
     tuples, _ = grassmann_variables(4, 2)
     # G12 = G34 = 1, everything else 0 violates the quadric
     vals = [F(1) if t in ((1, 2), (3, 4)) else F(0) for t in tuples]
-    assert polys[0].evaluate(vals) != 0
+    assert grassmann_ring(4, 2).evaluate(polys[0], vals) != 0
 
 
 def test_span_reduce_preserves_span():
-    p = _p2({(2, 0): 2, (0, 1): 4})
-    q = _p2({(2, 0): 1, (0, 1): 2})  # dependent on p
-    r = _p2({(1, 1): 1})
-    out = span_reduce([p, q, r, p + r])
+    ring = Ring(2, 24)
+    p = poly({(2, 0): 2, (0, 1): 4})
+    q = poly({(2, 0): 1, (0, 1): 2})  # dependent on p
+    r = poly({(1, 1): 1})
+    polys = [packed(ring, g) for g in (p, q, r, add(p, r))]
+    inputs = [dict(g) for g in polys]
+    out = span_reduce(polys)
+    assert polys == inputs  # the inputs stay as they were
     assert len(out) == 2
-    # distinct leading monomials (triangular)
-    leads = [g.leading()[0] for g in out]
-    assert len(set(leads)) == 2
+    # distinct leading monomials (triangular), sorted, each primitive
+    leads = [max(g) for g in out]
+    assert leads == sorted(set(leads))
+    assert all(primitive(g) == g for g in out)
     # adding the inputs back does not enlarge the span
-    assert len(span_reduce(out + [p, q, r])) == 2
+    assert len(span_reduce(out + polys)) == 2
 
 
 def _to_sympy(p, gens):
     expr = 0
-    for m, c in p.terms.items():
+    for m, c in p.items():
         t = sympy.Rational(c.numerator, c.denominator)
         for g, e in zip(gens, m):
             t *= g ** e
@@ -97,7 +110,7 @@ HAND_MADE = [
 
 def _hand_made_ideals():
     for nv, gens in HAND_MADE:
-        yield nv, [Poly(nv, {m: F(c) for m, c in g.items()}) for g in gens]
+        yield nv, [poly(g) for g in gens]
 
 
 def _from_sympy(expr, syms):
@@ -106,67 +119,76 @@ def _from_sympy(expr, syms):
     for mono, c in sp.terms():
         c = sympy.Rational(c)
         terms[tuple(int(e) for e in mono)] = F(int(c.p), int(c.q))
-    return Poly(len(syms), terms)
+    return oracle.poly(terms)
 
 
 def test_buchberger_matches_reference_implementation():
     gens_syms = sympy.symbols("x0 x1 x2")
     for nv, gens in _hand_made_ideals():
         syms = gens_syms[:nv]
-        gb = buchberger(PolyIdeal(["x%d" % i for i in range(nv)], gens))
+        ideal = _ideal(nv, gens)
+        gb = buchberger(ideal)
         ref = sympy.groebner([_to_sympy(g, syms) for g in gens], *syms,
                              order="grevlex")
-        ours = {g.content_normalized() for g in gb}
-        theirs = {_from_sympy(e, syms).content_normalized() for e in ref.exprs}
+        ours = {frozenset(unpacked(ideal.ring, g).items()) for g in gb}
+        theirs = {frozenset(oracle.content_normalized(_from_sympy(e, syms)).items())
+                  for e in ref.exprs}
         assert ours == theirs
+        assert all(primitive(g) == g for g in gb)
 
 
 def test_buchberger_s_polynomial_criterion(typical, ab):
     """Every S-polynomial of a computed basis reduces to zero against it."""
     bases = []
     for nv, gens in _hand_made_ideals():
-        bases.append(buchberger(PolyIdeal(["x%d" % i for i in range(nv)], gens)))
+        bases.append(_basis(_ideal(nv, gens)))
     for s in (typical, ab):
         ideal, _ = assemble_ideal(s)
-        bases.append(buchberger(ideal))
+        bases.append(_basis(ideal))
     for gb in bases:
         for f, g in combinations(gb, 2):
             sp = s_polynomial(f, g)
-            assert normal_form(sp, gb).is_zero()
+            assert not normal_form(sp, gb)
 
 
 def test_is_zero_dimensional_against_reference():
     gens_syms = sympy.symbols("x0 x1 x2")
     for nv, gens in _hand_made_ideals():
         syms = gens_syms[:nv]
-        gb = buchberger(PolyIdeal(["x%d" % i for i in range(nv)], gens))
+        ideal = _ideal(nv, gens)
+        gb = buchberger(ideal)
         ref = sympy.groebner([_to_sympy(g, syms) for g in gens], *syms,
                              order="grevlex")
-        assert (not _free_variables(gb, range(nv))) == ref.is_zero_dimensional
+        assert (not _free_variables(ideal.ring, gb, range(nv))) == ref.is_zero_dimensional
 
 
 def test_normal_form_properties():
-    gens = [_p2({(2, 0): 1, (0, 0): -2}), _p2({(0, 1): 1, (0, 0): -1})]
-    gb = buchberger(PolyIdeal(["x", "y"], gens))
-    x = _p2({(1, 0): 1})
-    y = _p2({(0, 1): 1})
-    combo = gens[0] * (x + y) + gens[1] * gens[1]
-    assert normal_form(combo, gb).is_zero()
-    p = x * x * y + x
+    gens = [poly({(2, 0): 1, (0, 0): -2}), poly({(0, 1): 1, (0, 0): -1})]
+    gb = _basis(_ideal(2, gens))
+    x = poly({(1, 0): 1})
+    y = poly({(0, 1): 1})
+    combo = add(mul(gens[0], add(x, y)), mul(gens[1], gens[1]))
+    assert not normal_form(combo, gb)
+    p = add(mul(mul(x, x), y), x)
     nf = normal_form(p, gb)
     assert normal_form(nf, gb) == nf
 
 
 def test_minimal_polynomial_of():
     # x^2 = y, y^2 = 2  =>  x^4 = 2
-    gens = [_p2({(2, 0): 1, (0, 1): -1}), _p2({(0, 2): 1, (0, 0): -2})]
-    gb = buchberger(PolyIdeal(["x", "y"], gens))
-    assert minimal_polynomial_of(X, gb, 2) == [F(-2), F(0), F(0), F(0), F(1)]
-    assert minimal_polynomial_of(Y, gb, 2) == [F(-2), F(0), F(1)]
+    gens = [poly({(2, 0): 1, (0, 1): -1}), poly({(0, 2): 1, (0, 0): -2})]
+    ideal = _ideal(2, gens)
+    gb = buchberger(ideal)
+    assert minimal_polynomial_of(X, gb, ideal.ring) == [F(-2), F(0), F(0), F(0), F(1)]
+    assert minimal_polynomial_of(Y, gb, ideal.ring) == [F(-2), F(0), F(1)]
     # linear relation
-    gens = [_p2({(1, 0): 1, (0, 0): -3}), _p2({(0, 2): 1, (0, 1): 1})]
-    gb = buchberger(PolyIdeal(["x", "y"], gens))
-    assert minimal_polynomial_of(X, gb, 2) == [F(-3), F(1)]
+    gens = [poly({(1, 0): 1, (0, 0): -3}), poly({(0, 2): 1, (0, 1): 1})]
+    ideal = _ideal(2, gens)
+    gb = buchberger(ideal)
+    assert minimal_polynomial_of(X, gb, ideal.ring) == [F(-3), F(1)]
+    # the powers up to x^(MINPOLY_DEGREE_CAP + 1) must fit the ring's fields
+    with pytest.raises(ValueError, match="overflow"):
+        minimal_polynomial_of(X, gb, Ring(2, 4))
 
 
 def test_oracle_monomial_helpers():
@@ -184,8 +206,7 @@ def _polys(nv):
     non-monic rational coefficients."""
     mono = st.tuples(*[st.integers(0, 4)] * nv).filter(lambda m: sum(m) <= 4)
     coef = st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool)
-    return st.dictionaries(mono, coef, min_size=1, max_size=4).map(
-        lambda terms: Poly(nv, terms))
+    return st.dictionaries(mono, coef, min_size=1, max_size=4)
 
 
 @st.composite
@@ -195,23 +216,18 @@ def _ideals(draw):
     return nv, draw(st.lists(_polys(nv), min_size=1, max_size=3))
 
 
-def _monic(p):
-    _, lead = p.leading()
-    return p * (1 / F(lead))
-
-
 def _sympy_basis(gens, syms):
     ref = sympy.groebner([_to_sympy(g, syms) for g in gens], *syms, order="grevlex")
-    return [_monic(_from_sympy(e, syms)) for e in ref.exprs]
+    return [monic(_from_sympy(e, syms)) for e in ref.exprs]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(_ideals())
 def test_buchberger_equals_sympy_reduced_basis(ideal):
     nv, gens = ideal
-    gb = buchberger(PolyIdeal(["x%d" % i for i in range(nv)], gens))
+    gb = _basis(_ideal(nv, gens))
     theirs = _sympy_basis(gens, SYMS[:nv])
-    assert gb == sorted(theirs, key=lambda g: grevlex_key(g.leading()[0]))
+    assert gb == sorted(theirs, key=lambda g: grevlex_key(leading(g)[0]))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -219,13 +235,13 @@ def test_buchberger_equals_sympy_reduced_basis(ideal):
 def test_kernel_normal_form_equals_oracle(ideal, data):
     # reduction by an arbitrary list, not only by a Groebner basis
     nv, basis = ideal
-    p = data.draw(_polys(nv)) * data.draw(_polys(nv))
-    ring = _Ring(nv, max(g.degree() for g in basis + [p]))
-    den = math.lcm(*(c.denominator for c in p.terms.values()))
-    work = {ring.pack(m): int(c * den) for m, c in p.terms.items()}
-    r, s = _normal_form(work, [_split(ring.primitive(g)) for g in basis], ring.guard)
+    p = mul(data.draw(_polys(nv)), data.draw(_polys(nv)))
+    ring = Ring(nv, max(sum(m) for g in basis + [p] for m in g))
+    den = math.lcm(*(c.denominator for c in p.values()))
+    work = {oracle.pack(ring, m): int(c * den) for m, c in p.items()}
+    r, s = _normal_form(work, [_split(packed(ring, g)) for g in basis], ring.guard)
     assert s > 0
-    assert ring.poly(r, s * den) == normal_form(p, basis)
+    assert unpacked(ring, r, s * den) == normal_form(p, basis)
 
 
 def _sympy_minimal_polynomial(var, gens, nv):
@@ -251,21 +267,35 @@ def _sympy_minimal_polynomial(var, gens, nv):
 @given(_ideals())
 def test_minimal_polynomial_of_equals_sympy(ideal):
     nv, gens = ideal
-    gb = buchberger(PolyIdeal(["x%d" % i for i in range(nv)], gens))
+    ideal = _ideal(nv, gens)
+    gb = buchberger(ideal)
     for var in range(nv):
-        assert minimal_polynomial_of(var, gb, nv) == \
+        assert minimal_polynomial_of(var, gb, ideal.ring) == \
             _sympy_minimal_polynomial(var, gens, nv)
 
 
 def test_buchberger_with_exponents_past_eight_bits():
     # the exponent field width comes from the input's degree: 260 needs nine
     # bits and a guard bit, which DEGREE_CAP alone would not give
-    gens = [_p2({(260, 0): 1, (0, 1): F(-1, 3)}),
-            _p2({(259, 1): 2, (0, 0): -1})]
-    gb = buchberger(PolyIdeal(["x", "y"], gens))
+    gens = [poly({(260, 0): 1, (0, 1): F(-1, 3)}),
+            poly({(259, 1): 2, (0, 0): -1})]
+    gb = _basis(_ideal(2, gens, Ring(2, 2 * 260)))
     theirs = _sympy_basis(gens, SYMS[:2])
-    assert gb == sorted(theirs, key=lambda g: grevlex_key(g.leading()[0]))
-    assert max(g.degree() for g in gb) >= 256
+    assert gb == sorted(theirs, key=lambda g: grevlex_key(leading(g)[0]))
+    assert max(sum(m) for g in gb for m in g) >= 256
+
+
+def test_buchberger_refuses_a_narrow_ring():
+    # fields of 5 bits hold exponents up to 15 < 2 * DEGREE_CAP; the degree
+    # 260 input does not fit the default ring of the test ideals
+    gens = [poly({(2, 0): 1, (0, 0): -2}), poly({(0, 1): 1, (0, 0): -1})]
+    narrow = _ideal(2, gens, Ring(2, 15))
+    with pytest.raises(ValueError, match="overflow"):
+        buchberger(narrow)
+    assert len(buchberger(narrow, degree_cap=7)) == 2
+    wide = _ideal(2, [poly({(20, 0): 1, (0, 0): -2})])
+    with pytest.raises(ValueError, match="overflow"):
+        buchberger(wide)
 
 
 def test_isolate_real_roots_quadratic():
@@ -322,21 +352,26 @@ def test_assemble_ideal_vanishes_at_slope(typical):
     norm_val = g[norm]
     scaled = [g[t] / norm_val for t in tuples]
     for p in ideal.generators:
-        assert p.evaluate(scaled).is_zero()
+        assert ideal.ring.evaluate(p, scaled) == 0
 
 
 def test_assembled_generators_are_content_normalized(typical, ab):
-    """assemble_ideal takes span_reduce's generators as they are: Fraction
-    coefficients, each generator its own content normalization, with
-    distinct leading monomials."""
+    """assemble_ideal takes span_reduce's generators as they are: integer
+    coefficients, each generator primitive, with distinct leading monomials
+    and free of the normalization coordinate."""
     for s in (typical, ab):
-        ideal, _ = assemble_ideal(s)
+        ideal, norm = assemble_ideal(s)
         gens = ideal.generators
-        assert gens and all(type(c) is F for g in gens for c in g.terms.values())
+        assert ideal.ring is grassmann_ring(s.n, s.d)
+        assert gens and all(type(c) is int for g in gens for c in g.values())
         for g in gens:
-            norm = g.content_normalized()
-            assert g.terms == norm.terms and list(g.terms) == list(norm.terms)
-        assert len({g.leading()[0] for g in gens}) == len(gens)
+            assert math.gcd(*g.values()) == 1 and g[max(g)] > 0
+            assert oracle.content_normalized(unpacked(ideal.ring, g)) == \
+                unpacked(ideal.ring, g)
+        assert len({max(g) for g in gens}) == len(gens)
+        tuples, _ = grassmann_variables(s.n, s.d)
+        assert tuples.index(norm) not in set().union(
+            *(ideal.ring.variables(g) for g in gens))
 
 
 def test_verdict_typical(typical):
@@ -346,12 +381,12 @@ def test_verdict_typical(typical):
     from slopechar.slope import grassmann
     tuples, _ = grassmann_variables(4, 2)
     active = [i for i, t in enumerate(tuples) if t != v.normalization]
-    assert not _free_variables(list(v.groebner), active)
+    assert not _free_variables(v.ring, list(v.groebner), active)
     # the basis vanishes at the slope's normalized coordinates
     g = grassmann(typical)
     scaled = [g[t] / g[v.normalization] for t in tuples]
     for p in v.groebner:
-        assert p.evaluate(scaled).is_zero()
+        assert v.ring.evaluate(p, scaled) == 0
 
 
 def test_verdict_ab(ab, ab_spec):
@@ -365,9 +400,9 @@ def test_verdict_ab(ab, ab_spec):
     tuples, names = grassmann_variables(4, 2)
     vals = [pt[nm] for nm in names]
     for p in v.groebner:
-        assert p.evaluate(vals) == 0
+        assert v.ring.evaluate(p, vals) == 0
     for p in v.witness["family"]:
-        assert p.evaluate(vals) == 0
+        assert v.ring.evaluate(p, vals) == 0
 
 
 CUBIC_LINE = """\
@@ -426,7 +461,7 @@ def test_comparison_point_for_free_coordinate_in_minus_one_zero(tmp_path):
     assert -1 < pt[free] < 0
     vals = [pt[nm] for nm in names]
     for p in v.groebner:
-        assert p.evaluate(vals) == 0
+        assert v.ring.evaluate(p, vals) == 0
 
 
 # generic cubic 4->3 hyperplanes, drawn with the benchmark's slope generator:
@@ -472,9 +507,9 @@ def test_comparison_point_with_two_free_variables(case):
     assert pt is not None and set(pt) == set(names)
     vals = [pt[nm] for nm in names]
     for p in v.groebner:
-        assert p.evaluate(vals) == 0
+        assert v.ring.evaluate(p, vals) == 0
     for p in v.witness["family"]:
-        assert p.evaluate(vals) == 0
+        assert v.ring.evaluate(p, vals) == 0
     g = grassmann(s)
     scaled = [g[t] / g[v.normalization] for t in tuples]
     assert any(x != y for x, y in zip(vals, scaled))

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -54,6 +55,23 @@ def test_info_golden(tmp_path, spec, digest):
     # refinement of alpha's Fraction isolating interval gave them
     _, text = _run_json(["info", spec], tmp_path, "info")
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("minpoly, interval", [
+    (["-100000000000000000003", "0", "1"], ["10000000000", "10000000001"]),
+    (["-100000000000000000003", "0", "0", "1"], ["4641588", "4641589"]),
+], ids=["quadratic", "cubic"])
+def test_info_on_a_line_over_a_twenty_digit_field_is_fast(tmp_path, minpoly, interval):
+    # the field's irreducibility test once divided the constant term by
+    # every integer up to its square root
+    spec = tmp_path / "line.slope"
+    spec.write_text(f"minpoly = {json.dumps(minpoly)}\n"
+                    f"root_interval = {json.dumps(interval)}\n"
+                    "n = 2\nd = 1\ngenerators = [[[\"1\"], [\"0\", \"1\"]]]\n")
+    t0 = time.perf_counter()
+    doc, _ = _run_json(["info", str(spec)], tmp_path, "info")
+    assert time.perf_counter() - t0 < 1
+    assert doc["n"] == 2 and doc["d"] == 1
 
 
 def test_info_stdout(capsys):

@@ -19,6 +19,7 @@ from slopechar.slope import Slope, grassmann
 
 import realize_oracle
 from conftest import positive_factor
+from groebner_oracle import content_normalized, unpacked
 
 SEC6_TYPE = CoincidenceType(4, 2, [(4,), (3,), (2,)])
 SEC6_VECTOR = (3, -3, 3, 3, 3, 2, -5, -3, -3)
@@ -124,16 +125,15 @@ def test_index_layout():
 
 def test_constraints_match_known_linear_forms(typical):
     printed = Matrix([
-        [F(17), F(6), F(-30), F(10), F(-6), F(0), F(-27), F(30), F(0)],
-        [F(56), F(-4), F(-69), F(-26), F(4), F(30), F(-30), F(69), F(-30)],
-        [F(32), F(-7), F(-45), F(4), F(7), F(-12), F(-36), F(45), F(12)],
+        [17, 6, -30, 10, -6, 0, -27, 30, 0],
+        [56, -4, -69, -26, 4, 30, -30, 69, -30],
+        [32, -7, -45, 4, 7, -12, -36, 45, 12],
     ])
     constraints = integer_constraints(typical, SEC6_TYPE)
     assert positive_factor(constraints.rows,
                            _reference_constraints(typical, SEC6_TYPE).rows) is not None
-    lifted = Matrix([[F(x) for x in r] for r in constraints.rows])
-    assert rank(lifted) == 3
-    stacked = Matrix(list(lifted.rows) + list(printed.rows))
+    assert rank(constraints) == 3
+    stacked = Matrix(list(constraints.rows) + list(printed.rows))
     assert rank(stacked) == 3  # equal row spaces
 
 
@@ -141,9 +141,9 @@ def test_kernel_dimension_and_vector(typical):
     basis = kernel_int(integer_constraints(typical, SEC6_TYPE))
     assert len(basis) == 6
     # the reference vector lies in the lattice
-    aug = Matrix([[F(x) for x in row] for row in zip(*basis)])
+    aug = Matrix(zip(*basis))
     from slopechar.linalg import solve_right
-    sol = solve_right(aug, [F(x) for x in SEC6_VECTOR])
+    sol = solve_right(aug, SEC6_VECTOR)
     assert sol is not None
     assert all(x.denominator == 1 for x in sol)
 
@@ -165,11 +165,11 @@ def test_equation_of_reference_vector(typical):
         mono((1, 3), (1, 4)): F(-6),
         mono((1, 2), (3, 4)): F(8),
     }
-    norm = eq.poly.content_normalized()
+    norm = content_normalized(unpacked(coincidence.grassmann_ring(4, 2), eq.poly))
     ratio = None
-    assert set(norm.terms) == set(expected)
+    assert set(norm) == set(expected)
     for m, c in expected.items():
-        r = norm.terms[m] / c
+        r = norm[m] / c
         assert ratio is None or r == ratio
         ratio = r
 
@@ -199,7 +199,7 @@ def test_equation_determinant_oracle(typical):
                 direct = det(_reference_matrix(s2, t, v))
                 g2 = grassmann(s2)
                 vals = [g2[tp] for tp in tuples]
-                via_poly = eq.poly.evaluate(vals)
+                via_poly = coincidence.grassmann_ring(4, 2).evaluate(eq.poly, vals)
                 assert direct == via_poly
 
 
@@ -285,7 +285,7 @@ def test_equation_of_cold_and_warm_cache(typical, ab):
         for t in enumerate_types(4, 2):
             for v in coincidence_lattice(s, t):
                 eq = equation_of(s, t, v)
-                out[t.subsets, v] = None if isinstance(eq, TrivialEquation) else eq.poly.terms
+                out[t.subsets, v] = None if isinstance(eq, TrivialEquation) else eq.poly
         return out
 
     cold = {}
@@ -308,7 +308,7 @@ def test_equation_vanishes_only_on_lattice(typical):
         eq = equation_of(typical, SEC6_TYPE, v)
         if isinstance(eq, TrivialEquation):
             continue
-        assert eq.poly.evaluate(vals).is_zero()
+        assert coincidence.grassmann_ring(4, 2).evaluate(eq.poly, vals) == 0
     # a vector outside the lattice yields an inconsistent system
     with pytest.raises(InconsistentSystem):
         realize(typical, SEC6_TYPE, (1, 0, 0, 0, 0, 0, 0, 0, 0))
@@ -367,9 +367,12 @@ def test_all_equations_typical(typical):
     g = grassmann(typical)
     tuples, _ = grassmann_variables(4, 2)
     vals = [g[t] for t in tuples]
+    ring = coincidence.grassmann_ring(4, 2)
     for e in eqs:
-        assert e.poly.evaluate(vals).is_zero()
-        assert {sum(m) for m in e.poly.terms} == {2}
+        assert ring.evaluate(e.poly, vals) == 0
+        assert {ring.degree(m) for m in e.poly} == {2}
+        assert unpacked(ring, e.poly) == content_normalized(unpacked(ring, e.poly))
+    assert len({frozenset(e.poly.items()) for e in eqs}) == len(eqs)
 
 
 def test_all_equations_ab(ab):
@@ -379,7 +382,7 @@ def test_all_equations_ab(ab):
     vals = [g[t] for t in tuples]
     assert eqs
     for e in eqs:
-        assert e.poly.evaluate(vals).is_zero()
+        assert coincidence.grassmann_ring(4, 2).evaluate(e.poly, vals) == 0
 
 
 # -- the integer solver against the field elimination ---------------------------

@@ -87,6 +87,19 @@ def test_rref_and_rank():
         assert col == [F(1) if r == i else F(0) for r in range(m.nrows)]
 
 
+def test_int_pivots_stay_exact():
+    # the third row is 3 * (first row) + 10 * (second row); a float inverse
+    # of the pivot 53 - 50 = 3 once left a nonzero rounding residue here
+    m = Matrix([[1, 0, -7, -3], [5, -7, 3, -6], [53, -70, 9, -69]])
+    assert rank(m) == 2
+    red, _ = rref(m)
+    assert all(type(e) in (int, F) for r in red.rows for e in r)
+    d = det(Matrix([[3, 1], [1, 3]]))
+    assert d == 8 and type(d) is not float
+    assert det(Matrix([[2, 3, 1], [4, 5, 6], [7, 8, 10]])) == \
+        perm_det([[2, 3, 1], [4, 5, 6], [7, 8, 10]])
+
+
 def test_solve_right_and_inverse():
     rng = random.Random(3)
     for _ in range(20):

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import mpmath
@@ -51,6 +52,43 @@ def test_irreducibility():
     # degree-4 cases go through the sympy fallback
     assert is_irreducible([F(2), F(0), F(0), F(0), F(1)])    # x^4 + 2
     assert not is_irreducible([F(-4), F(0), F(0), F(0), F(1)])  # x^4 - 4
+
+
+def _sympy_irreducible(coeffs):
+    x = sympy.Symbol("x")
+    return sympy.Poly(sum(sympy.Rational(c.numerator, c.denominator) * x ** i
+                          for i, c in enumerate(coeffs)), x).is_irreducible
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(2, 3), st.booleans(), st.data())
+def test_irreducibility_of_quadratics_and_cubics_matches_sympy(degree, split, data):
+    rationals = st.fractions(min_value=-40, max_value=40, max_denominator=6)
+
+    def poly(deg):
+        return data.draw(st.lists(rationals, min_size=deg + 1, max_size=deg + 1)
+                         .filter(lambda c: c[-1] != 0))
+
+    if split:
+        # a rational root by construction: (x - root) * factor
+        factor, root = poly(degree - 1), data.draw(rationals)
+        coeffs = [F(0)] + factor
+        for i, c in enumerate(factor):
+            coeffs[i] -= root * c
+    else:
+        coeffs = poly(degree)
+    assert is_irreducible(coeffs) == _sympy_irreducible(coeffs)
+
+
+@pytest.mark.parametrize("degree", [2, 3])
+def test_irreducibility_of_twenty_digit_constants_is_fast(degree):
+    # trial division up to sqrt(a0) once took seconds from 16 digits on
+    big = 10 ** 20 + 3
+    for a0 in (big, big * big if degree == 2 else big ** 3):
+        coeffs = [F(-a0)] + [F(0)] * (degree - 1) + [F(1)]
+        t0 = time.perf_counter()
+        assert is_irreducible(coeffs) == _sympy_irreducible(coeffs)
+        assert time.perf_counter() - t0 < 1
 
 
 def test_basic_arithmetic():
