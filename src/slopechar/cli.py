@@ -18,6 +18,7 @@ from fractions import Fraction
 
 from . import charcheck, coincidence, patterns, specfile, tiling
 from .errors import InputError, ResourceLimit, SingularOffset
+from .jsondoc import dumps
 from .numfield import FieldElem, rat_str
 from .slope import grassmann, is_generic, plucker_residuals
 
@@ -41,7 +42,7 @@ def _load(path):
 
 
 def _emit(doc, path=None):
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    text = dumps(doc) + "\n"
     if path:
         with open(path, "w") as fh:
             fh.write(text)

@@ -8,16 +8,16 @@ window point is built from in-window walks of length r + 1.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations
-from operator import mul, sub
+from operator import add, mul, sub
 
 from .errors import InputError
 from .geometry import HPolytope, Window, _sgn, eprime_basis, window
+from .jsondoc import dumps
 from .linalg import _is_zero, dot
 from .numfield import _canonical
 from .slope import Slope
@@ -45,6 +45,15 @@ class LiftedPattern:
             raise InputError("pattern has no vertices")
         self._vertices = frozenset(verts)
 
+    @classmethod
+    def _of(cls, edges, vertices):
+        """The pattern with these frozensets of normalized edges and of
+        vertices, which already hold every edge's ends."""
+        p = object.__new__(cls)
+        p.edges = edges
+        p._vertices = vertices
+        return p
+
     def vertices(self):
         return self._vertices
 
@@ -62,25 +71,29 @@ class LiftedPattern:
         return self.edges <= other.edges
 
     def translated(self, t):
-        return LiftedPattern(
-            [(vec_add_int(a, t), i) for a, i in self.edges],
-            [vec_add_int(v, t) for v in self._vertices])
+        return LiftedPattern._of(
+            frozenset([(vec_add_int(a, t), i) for a, i in self.edges]),
+            frozenset([vec_add_int(v, t) for v in self._vertices]))
 
     def canonical(self):
         """Translate so the lexicographically least vertex sits at 0."""
         v0 = min(self._vertices)
         return self.translated(tuple(-x for x in v0))
 
+    def key(self):
+        """The sorted edges and vertices, in place (not up to translation)."""
+        return (tuple(sorted(self.edges)), tuple(sorted(self._vertices)))
+
     def encode(self):
-        c = self.canonical()
-        return (tuple(sorted(c.edges)), tuple(sorted(c._vertices)))
+        """The key of the canonical translate: equal for translates."""
+        return self.canonical().key()
 
     def __repr__(self):
         return f"LiftedPattern({len(self.edges)} edges, {len(self._vertices)} vertices)"
 
 
 def vec_add_int(u, v):
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(map(add, u, v))
 
 
 def edge_between(u, v):
@@ -138,10 +151,10 @@ def _walk(n: int, r: int, status) -> LiftedPattern:
     origin = (0,) * n
     if status(origin) != 1:
         raise SingularPoint("base point not strictly inside the window")
-    dist = {origin: 0}
+    seen = {origin}
     frontier = [origin]
     edges = set()
-    for level in range(r + 1):
+    for _ in range(r + 1):
         nxt = []
         for x in frontier:
             for j in range(n):
@@ -153,12 +166,14 @@ def _walk(n: int, r: int, status) -> LiftedPattern:
                             f"walk point at offset {y} lies on a window boundary")
                     if st < 0:
                         continue
-                    edges.add(edge_between(x, y))
-                    if y not in dist:
-                        dist[y] = level + 1
+                    # the edge is anchored at its lower end
+                    edges.add((x if sg > 0 else y, j + 1))
+                    if y not in seen:
+                        seen.add(y)
                         nxt.append(y)
         frontier = nxt
-    return LiftedPattern(edges, [origin])
+    # the points reached are the origin and the ends of the edges
+    return LiftedPattern._of(frozenset(edges), frozenset(seen))
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +221,7 @@ class _Lines:
         # the window's bounds are sums of the slab's column values, so den
         # is a multiple of their denominators
         normals, dens, self.cols, self.lo, self.hi = [], [], [], [], []
-        for nu, den, cols, lo, hi in _slab_rows(w, b):
+        for nu, den, cols, lo, hi, _, _ in _slab_rows(w, b):
             normals.append(nu)
             dens.append(den)
             self.cols.append(cols)
@@ -564,19 +579,31 @@ def _enumerate_exact_2d(s: Slope, r: int, w: Window) -> PatternAtlas:
     which holds at every point of the open cell: no field arithmetic, no
     sample point and no lattice membership.  A pattern's area is one
     `_poly_area` over its cells, all counter-clockwise as the window
-    polygon is, since a split keeps the order of the vertices."""
+    polygon is, since a split keeps the order of the vertices.
+
+    The walk depends on the label only through the set of offsets that are
+    in the window, which the masks read off it.  Cells are grouped by that
+    set, and each distinct set is walked and its pattern translated to
+    canonical position once."""
     cells, labels, masks = _arrangement(s, r, w)
+    # x is in the window iff the label holds exactly the need bits of x's
+    # need | forbid bits
+    tests = [(need | forbid, need) for need, forbid in masks.values()]
+    pattern_of = {}  # in-window set -> key of its canonical pattern
     by_pattern = {}
     for poly, label in zip(cells, labels):
-        pat = _walk(s.n, r, _label_status(label, masks))
-        key = pat.encode()
-        if key not in by_pattern:
-            by_pattern[key] = (pat, [])
+        inside = tuple([label & bits == need for bits, need in tests])
+        key = pattern_of.get(inside)
+        if key is None:
+            pat = _walk(s.n, r, _label_status(label, masks)).canonical()
+            key = pattern_of[inside] = pat.key()
+            if key not in by_pattern:
+                by_pattern[key] = (pat, [])
         by_pattern[key][1].append(poly)
     entries = []
     for key in sorted(by_pattern):
         pat, polys = by_pattern[key]
-        entries.append(AtlasEntry(pat.canonical(), _poly_area(*polys), polys))
+        entries.append(AtlasEntry(pat, _poly_area(*polys), polys))
     total = None
     for e in entries:
         total = e.area if total is None else total + e.area
@@ -607,15 +634,15 @@ def _enumerate_sampled(s: Slope, r: int, w: Window, samples: int, seed: int) -> 
         q = tuple(lo[j] + (hi[j] - lo[j]) * Fraction(rng.randint(0, den), den)
                   for j in range(w.dim))
         try:
-            pat = r_pattern_at(s, q, r)
+            pat = r_pattern_at(s, q, r).canonical()
         except SingularPoint:
             continue
         points += 1
-        found.setdefault(pat.encode(), (pat, []))[1].append(q)
+        found.setdefault(pat.key(), (pat, []))[1].append(q)
     entries = []
     for key in sorted(found):
         pat, pts = found[key]
-        entries.append(AtlasEntry(pat.canonical(), None, pts))
+        entries.append(AtlasEntry(pat, None, pts))
     return PatternAtlas(entries, w.volume(), False)
 
 
@@ -698,7 +725,7 @@ def patch_vertex_stars(patch):
     stars = {}
     for v in sorted(patch.vertex_set()):
         pat = vertex_star(patch.member, v).canonical()
-        stars.setdefault(pat.encode(), pat)
+        stars.setdefault(pat.key(), pat)
     return list(stars.values())
 
 
@@ -712,7 +739,7 @@ def pattern_json(p: LiftedPattern) -> str:
                   for a, i in sorted(p.edges)],
         "vertices": [list(v) for v in sorted(p.vertices())],
     }
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return dumps(doc)
 
 
 def region_json(reg: Region) -> str:
@@ -726,4 +753,4 @@ def region_json(reg: Region) -> str:
                        for nu, c0 in reg.polytope.halfspaces],
         "translations": [[num(c) for c in t] for t in reg.translations],
     }
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return dumps(doc)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError
+from .jsondoc import string
 from .numfield import NumberField, rat_str
 from .slope import Slope
 
@@ -151,7 +152,7 @@ def spec_offset(spec: SlopeSpec, slope: Slope):
 
 
 def _json_rat_list(vals):
-    return "[" + ", ".join(json.dumps(rat_str(v)) for v in vals) + "]"
+    return "[" + ", ".join(string(rat_str(v)) for v in vals) + "]"
 
 
 def serialize(spec: SlopeSpec) -> str:

@@ -11,7 +11,6 @@ corners are read off its anchor's key by adding fixed key offsets.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import random
 from collections import Counter, deque
@@ -22,6 +21,7 @@ from operator import add, mul, sub
 
 from .errors import InputError, SingularOffset
 from .geometry import Window, complementary_zonotope, eprime_basis, window
+from .jsondoc import dumps
 from .linalg import dot, solve_right
 from .numfield import FILTER_BITS
 from .slope import Slope
@@ -46,16 +46,23 @@ class Face:
 
 
 def _slab_rows(w: Window, b):
-    """(nu, den, cols, lo, hi) per slab of w, where coefficient t of
-    nu . B x is sum(map(mul, x, cols[t])) / den with integer cols and den > 0.
-    Kept on the window for its basis: an offset moves only the bounds."""
+    """(nu, den, cols, lo, hi, mid, rad) per slab of w, where coefficient t
+    of nu . B x is sum(map(mul, x, cols[t])) / den with integer cols and
+    den > 0, and mid_j = L_j + U_j, rad_j = U_j - L_j for the field's
+    enclosure L_j <= 2^FILTER_BITS den (nu . B e_j) <= U_j of column j
+    (`NumberField.enclosure`).  Kept on the window for its basis: an offset
+    moves only the bounds."""
     got = getattr(w, "_lattice_rows", None)
     if got is None or got[0] is not b:
+        enclosure = b[0, 0].field.enclosure
         rows = []
         for nu, lo, hi in w.slabs:
             row = [dot(nu, b.col(j)) for j in range(b.ncols)]
             den = math.lcm(*(e.den for e in row))
-            rows.append((nu, den, tuple(zip(*(_cleared(e, den) for e in row))), lo, hi))
+            cols = tuple(zip(*(_cleared(e, den) for e in row)))
+            encs = [enclosure(col) for col in zip(*cols)]
+            rows.append((nu, den, cols, lo, hi, tuple(l + u for l, u in encs),
+                         tuple(u - l for l, u in encs)))
         got = w._lattice_rows = (b, rows)
     return got[1]
 
@@ -88,8 +95,8 @@ class LatticeMembership:
 
     Each slab lo <= nu . (B x - offset) <= hi is kept as integer coefficient
     vectors over one positive common denominator: a column per coordinate of
-    x and the bounds.  The columns come from the rows cached on the window;
-    the offset only moves the bounds.
+    x and the bounds.  The columns and their enclosures come from the rows
+    cached on the window; the offset only moves the bounds.
 
     Beside them each slab keeps the field's fixed-point enclosure
     (`NumberField.enclosure`) of every column and of both bounds, so a test
@@ -102,21 +109,24 @@ class LatticeMembership:
     `status` computes them from scratch and caches its answer."""
 
     def __init__(self, w: Window, b, offset):
-        self.field = field = b[0, 0].field
+        self.field = b[0, 0].field
         self.offset = offset = tuple(offset)
         self.tests = []
-        for nu, den, cols, lo, hi in _slab_rows(w, b):
+        for nu, den, cols, lo, hi, mid, rad in _slab_rows(w, b):
             shift = dot(nu, offset)
             lo, hi = lo + shift, hi + shift
             common = math.lcm(den, lo.den, hi.den)
             if common != den:
-                cols = tuple(tuple(v * (common // den) for v in col) for col in cols)
+                # for an integer s > 0, L <= 2^FILTER_BITS den c <= U gives
+                # s L <= 2^FILTER_BITS common c <= s U: the scaled enclosure
+                # of a column encloses the scaled column
+                s = common // den
+                cols = tuple(tuple(v * s for v in col) for col in cols)
+                mid = tuple(v * s for v in mid)
+                rad = tuple(v * s for v in rad)
             # 2^(FILTER_BITS + 1) common (nu . B x) lies within m -+ r for
             # m = sum x_j mid_j and r = sum |x_j| rad_j: the sum of
             # x_j [L_j, U_j] with the ends swapped where x_j < 0
-            encs = [field.enclosure(col) for col in zip(*cols)]
-            mid = tuple(l + u for l, u in encs)
-            rad = tuple(u - l for l, u in encs)
             lo, lo_l, lo_u = _bound_enclosure(lo, common)
             hi, hi_l, hi_u = _bound_enclosure(hi, common)
             self.tests.append((cols, lo, hi, mid, rad,
@@ -471,7 +481,7 @@ def slope_hash(s: Slope) -> str:
         "generators": [[[str(c) for c in e.coeffs] for e in s.generators.col(j)]
                        for j in range(s.d)],
     }
-    return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
+    return hashlib.sha256(dumps(data, None).encode()).hexdigest()
 
 
 def patch_json(p: Patch) -> str:
@@ -484,4 +494,4 @@ def patch_json(p: Patch) -> str:
         "faces": [{"anchor": list(f.anchor), "directions": list(f.directions)}
                   for f in p.faces],
     }
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return dumps(doc)

@@ -288,6 +288,30 @@ def test_cell_labels_give_the_pattern_at_each_centroid(request, monkeypatch, nam
         assert (total, total - len(cuts)) == (320, 240)
 
 
+@pytest.mark.parametrize("name, r, cells, walks", [("ab", 1, 217, 185), ("ab", 0, 81, 41),
+                                                   ("typical", 0, 157, 37)])
+def test_exact_atlas_walks_and_translates_once_per_pattern(request, monkeypatch, name, r,
+                                                          cells, walks):
+    # cells with the same in-window offsets share one walk, and each walk's
+    # pattern is translated to canonical position once, for its entry
+    s = request.getfixturevalue(name)
+    counts = {"walk": 0, "translated": 0}
+    walk, translated = patterns._walk, LiftedPattern.translated
+
+    def counted(key, fn):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(patterns, "_walk", counted("walk", walk))
+    monkeypatch.setattr(LiftedPattern, "translated", counted("translated", translated))
+    atlas = enumerate_r_patterns(s, r)
+    assert atlas.complete
+    assert sum(len(e.cells) for e in atlas.entries) == cells
+    assert len(atlas.entries) == counts["walk"] == counts["translated"] == walks
+
+
 def test_exact_atlas_takes_no_lattice_walk(ab, penrose, monkeypatch):
     # the exact 2-D atlas reads its patterns off the cell labels; only the
     # sampled 3-D atlas walks the lattice from its sample points

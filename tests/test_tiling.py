@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import random
 from collections import deque
 from fractions import Fraction as F
 
@@ -17,7 +18,7 @@ from slopechar.errors import InputError
 from slopechar.geometry import (BOUNDARY, INSIDE, complementary_zonotope,
                                 eprime_basis, window)
 from slopechar.linalg import Matrix, dot, kernel_int
-from slopechar.numfield import FILTER_BITS
+from slopechar.numfield import FILTER_BITS, NumberField
 from slopechar.slope import Slope
 from slopechar.specfile import spec_offset
 from slopechar.tiling import (Face, LatticeMembership, SingularOffset,
@@ -494,6 +495,47 @@ def test_bound_enclosures_hold_their_bounds_narrowly(typical, ab, penrose):
                 f_lo, f_hi = s.field.enclosure(num)
                 widest = max(widest, f_hi - f_lo)
     assert widest > 2 ** 100
+
+
+def test_scaled_column_enclosures_hold_their_columns(typical, ab, penrose):
+    # an offset whose denominators rescale a slab's columns by s rescales the
+    # window's cached column enclosures by s: L <= 2^FILTER_BITS c <= U for
+    # every column c of every slab, against the interval oracle
+    rng = random.Random(5)
+    scaled = 0
+    for s in (typical, ab, penrose):
+        oracle = IntervalOracle(s.field)
+        w, b = window(s), eprime_basis(s)
+        m = s.n - s.d
+        offsets = [draw_offset(s, f"{seed}:0") for seed in range(3)]
+        offsets += [tuple(F(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 6))
+                          for _ in range(m)) for _ in range(3)]
+        for offset in offsets:
+            member = LatticeMembership(w, b, offset)
+            for row, (cols, _, _, mid, rad, *_) in zip(tiling._slab_rows(w, b), member.tests):
+                scaled += cols != row[2]
+                for col, mj, rj in zip(zip(*cols), mid, rad):
+                    l, u = (mj - rj) // 2, (mj + rj) // 2
+                    assert l + u == mj and u - l == rj
+                    num = [c << FILTER_BITS for c in col]
+                    assert oracle.sign([num[0] - l] + num[1:]) >= 0
+                    assert oracle.sign([num[0] - u] + num[1:]) <= 0
+    assert scaled
+
+
+def test_membership_at_a_new_offset_encloses_only_its_bounds(penrose, monkeypatch):
+    # the column enclosures are kept with the slab rows on the window, so a
+    # membership at another offset encloses only the two bounds of each slab
+    w, b = window(penrose), eprime_basis(penrose)
+    LatticeMembership(w, b, draw_offset(penrose, 0))
+    calls = []
+    enclosure = NumberField.enclosure
+    monkeypatch.setattr(NumberField, "enclosure",
+                        lambda f, num, bits=FILTER_BITS: calls.append(num) or enclosure(f, num, bits))
+    for seed in (1, 2):
+        calls.clear()
+        LatticeMembership(w, b, draw_offset(penrose, seed))
+        assert len(calls) == 2 * len(w.slabs)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
